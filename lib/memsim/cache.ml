@@ -16,15 +16,14 @@ type t = {
   last_use : int array;  (* global tick of last touch; LRU = smallest *)
   mutable tick : int;
   stats : stats;
-  (* precomputed geometry so the hot path never divides *)
+  (* precomputed geometry so no lookup ever divides *)
   block_shift : int;
   set_mask : int;
   write_back : bool;
-  (* MRU block filter: the last line that served a hit or fill, as
-     (set, absolute index).  Valid iff [tags.(mru_idx)] still holds the
-     probed tag — eviction and invalidation self-invalidate the memo, so
-     no extra bookkeeping is needed on those paths. *)
-  mutable mru_set : int;
+  (* MRU block filter: the absolute index of the last line that served a
+     hit or fill.  Tags are whole block numbers, so [tags.(mru_idx) =
+     tag] alone proves the block is resident there; eviction and
+     invalidation self-invalidate the memo. *)
   mutable mru_idx : int;
   mutable mru_hits : int;
 }
@@ -52,17 +51,23 @@ let create cfg =
     block_shift = Addr.log2 cfg.Cache_config.block_bytes;
     set_mask = cfg.Cache_config.sets - 1;
     write_back = cfg.Cache_config.policy = Cache_config.Write_back;
-    mru_set = -1;
     mru_idx = 0;
     mru_hits = 0;
   }
 
 let config t = t.cfg
 
-(* Allocation-free way lookup: absolute index, or -1 when absent.
-   [base + w] is in range by construction ([set] < sets, [w] < assoc). *)
-let find_way t set tag =
-  let base = set * t.cfg.assoc in
+(* The one address split, shared by every operation: the tag is the
+   block number, and its low bits select the set.  Simulated addresses
+   are non-negative, so the shift agrees with
+   {!Cache_config.tag_of_addr}'s division. *)
+let[@inline] tag_of t a = a lsr t.block_shift
+let[@inline] set_base t tag = (tag land t.set_mask) * t.cfg.assoc
+
+(* Way lookup: absolute index, or -1 when absent (no option to allocate
+   per hit).  [base + w] is in range by construction ([w] < assoc). *)
+let find_way t tag =
+  let base = set_base t tag in
   let rec go w =
     if w = t.cfg.assoc then -1
     else if Array.unsafe_get t.tags (base + w) = tag then base + w
@@ -70,21 +75,9 @@ let find_way t set tag =
   in
   go 0
 
-(* The pre-fastpath lookup, kept verbatim as the reference arm: the
-   [Some] it returns on every hit is exactly the per-access allocation
-   the fast path removes. *)
-let find_way_opt t set tag =
-  let base = set * t.cfg.assoc in
-  let rec go w =
-    if w = t.cfg.assoc then None
-    else if t.tags.(base + w) = tag then Some (base + w)
-    else go (w + 1)
-  in
-  go 0
-
-let victim_way t set =
+let victim_way t tag =
   (* Prefer an invalid way; otherwise the least-recently-used one. *)
-  let base = set * t.cfg.assoc in
+  let base = set_base t tag in
   let best = ref base in
   let found_invalid = ref (t.tags.(base) = -1) in
   for w = 1 to t.cfg.assoc - 1 do
@@ -102,8 +95,8 @@ let[@inline] touch t i =
   t.tick <- t.tick + 1;
   Array.unsafe_set t.last_use i t.tick
 
-let fill t set tag ~dirty =
-  let i = victim_way t set in
+let fill t tag ~dirty =
+  let i = victim_way t tag in
   if t.tags.(i) <> -1 then begin
     t.stats.evictions <- t.stats.evictions + 1;
     if t.dirty.(i) then t.stats.writebacks <- t.stats.writebacks + 1
@@ -111,102 +104,59 @@ let fill t set tag ~dirty =
   t.tags.(i) <- tag;
   t.dirty.(i) <- dirty;
   touch t i;
-  t.mru_set <- set;
-  t.mru_idx <- i;
-  i
+  t.mru_idx <- i
 
-(* Demand-hit bookkeeping shared by every lookup path; identical to what
-   the reference arm does on a hit, so statistics stay bit-identical. *)
+let[@inline] count_access t ~write =
+  if write then t.stats.writes <- t.stats.writes + 1
+  else t.stats.reads <- t.stats.reads + 1
+
 let[@inline] record_hit t ~write i =
   touch t i;
-  if write && t.write_back then Array.unsafe_set t.dirty i true
+  if write && t.write_back then Array.unsafe_set t.dirty i true;
+  t.mru_idx <- i
 
-let access_fast t ~write a =
-  let tag = a lsr t.block_shift in
-  let set = tag land t.set_mask in
-  if write then t.stats.writes <- t.stats.writes + 1
-  else t.stats.reads <- t.stats.reads + 1;
-  let i =
-    if set = t.mru_set && Array.unsafe_get t.tags t.mru_idx = tag then begin
-      t.mru_hits <- t.mru_hits + 1;
-      t.mru_idx
-    end
-    else find_way t set tag
-  in
-  if i >= 0 then begin
-    record_hit t ~write i;
-    t.mru_set <- set;
-    t.mru_idx <- i;
-    true
-  end
-  else begin
-    if write then t.stats.write_misses <- t.stats.write_misses + 1
-    else t.stats.read_misses <- t.stats.read_misses + 1;
-    ignore (fill t set tag ~dirty:(write && t.write_back));
-    false
-  end
-
-let access_ref t ~write a =
-  let set = Cache_config.set_of_addr t.cfg a in
-  let tag = Cache_config.tag_of_addr t.cfg a in
-  if write then t.stats.writes <- t.stats.writes + 1
-  else t.stats.reads <- t.stats.reads + 1;
-  let mark_dirty i =
-    if write && t.cfg.policy = Cache_config.Write_back then t.dirty.(i) <- true
-  in
-  match find_way_opt t set tag with
-  | Some i ->
-      touch t i;
-      mark_dirty i;
-      true
-  | None ->
-      if write then t.stats.write_misses <- t.stats.write_misses + 1
-      else t.stats.read_misses <- t.stats.read_misses + 1;
-      let i =
-        fill t set tag ~dirty:(write && t.cfg.policy = Cache_config.Write_back)
-      in
-      ignore i;
-      false
-
-let access t ~write a =
-  if !Fastpath.enabled then access_fast t ~write a else access_ref t ~write a
-
-(* No [Fastpath] check here: the callers ({!Hierarchy.access} and
-   {!Hierarchy.try_hit}) guard on the flag once per access, so the memo
-   probe itself is branch-minimal.  [mru_idx] is always a valid index
-   (it only ever holds values produced by [fill] or [find_way]). *)
+(* [mru_idx] is always a valid index (it only ever holds values produced
+   by [fill] or [find_way]). *)
 let[@inline] mru_hit t ~write a =
-  let tag = a lsr t.block_shift in
-  let set = tag land t.set_mask in
-  if set = t.mru_set && Array.unsafe_get t.tags t.mru_idx = tag then begin
-    if write then t.stats.writes <- t.stats.writes + 1
-    else t.stats.reads <- t.stats.reads + 1;
+  if Array.unsafe_get t.tags t.mru_idx = tag_of t a then begin
+    count_access t ~write;
     record_hit t ~write t.mru_idx;
     t.mru_hits <- t.mru_hits + 1;
     true
   end
   else false
 
+let access t ~write a =
+  mru_hit t ~write a
+  ||
+  let tag = tag_of t a in
+  let i = find_way t tag in
+  count_access t ~write;
+  if i >= 0 then begin
+    record_hit t ~write i;
+    true
+  end
+  else begin
+    if write then t.stats.write_misses <- t.stats.write_misses + 1
+    else t.stats.read_misses <- t.stats.read_misses + 1;
+    fill t tag ~dirty:(write && t.write_back);
+    false
+  end
+
 let mru_filter_hits t = t.mru_hits
 
-let probe t a =
-  let set = Cache_config.set_of_addr t.cfg a in
-  let tag = Cache_config.tag_of_addr t.cfg a in
-  find_way t set tag >= 0
+let probe t a = find_way t (tag_of t a) >= 0
 
 let install t ?(prefetch = false) a =
-  let set = Cache_config.set_of_addr t.cfg a in
-  let tag = Cache_config.tag_of_addr t.cfg a in
-  if find_way t set tag < 0 then begin
-    ignore (fill t set tag ~dirty:false);
+  let tag = tag_of t a in
+  if find_way t tag < 0 then begin
+    fill t tag ~dirty:false;
     if prefetch then
       t.stats.prefetch_installs <- t.stats.prefetch_installs + 1
   end
 
 let invalidate t a =
-  let set = Cache_config.set_of_addr t.cfg a in
-  let tag = Cache_config.tag_of_addr t.cfg a in
-  let i = find_way t set tag in
+  let i = find_way t (tag_of t a) in
   if i >= 0 then begin
     t.tags.(i) <- -1;
     t.dirty.(i) <- false
@@ -215,9 +165,7 @@ let invalidate t a =
 let clear t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.dirty 0 (Array.length t.dirty) false;
-  Array.fill t.last_use 0 (Array.length t.last_use) 0;
-  t.mru_set <- -1;
-  t.mru_idx <- 0
+  Array.fill t.last_use 0 (Array.length t.last_use) 0
 
 let stats t = t.stats
 
@@ -229,7 +177,8 @@ let reset_stats t =
   s.write_misses <- 0;
   s.evictions <- 0;
   s.writebacks <- 0;
-  s.prefetch_installs <- 0
+  s.prefetch_installs <- 0;
+  t.mru_hits <- 0
 
 let accesses s = s.reads + s.writes
 let misses s = s.read_misses + s.write_misses

@@ -24,27 +24,21 @@ val access : t -> write:bool -> Addr.t -> bool
     [a].  Returns [true] on hit.  On a miss the block is installed,
     evicting the LRU way of its set.  Statistics are updated.
 
-    When {!Fastpath.enabled} (the default) the lookup goes through an
-    allocation-free scan fronted by an MRU block filter — a memo of the
-    last line that served a hit or fill, so repeated same-block accesses
+    The lookup is fronted by an MRU block filter — a memo of the last
+    line that served a hit or fill — so repeated same-block accesses
     (the common case for clustered layouts) skip the associative scan.
-    Hits and misses, LRU order and every statistic are bit-identical to
-    the reference path used when the switch is off. *)
+    The filter changes no hit, miss, LRU order or statistic. *)
 
 val mru_hit : t -> write:bool -> Addr.t -> bool
-(** Fast-path hook for {!Hierarchy}: if the MRU filter proves the block
-    holding [a] is resident, account a demand hit exactly as {!access}
-    would and return [true]; otherwise do {e nothing} and return
-    [false] (the caller falls back to the full {!access} walk).
-
-    Does {e not} consult {!Fastpath.enabled} — callers guard on the flag
-    once per access so the probe itself stays branch-minimal.  Calling
-    it with the fast path off is harmless (the accounting is identical
-    to {!access}'s hit arm) but defeats the differential comparison. *)
+(** Shortcut for {!Machine}'s word accessors: if the MRU filter proves the
+    block holding [a] is resident, account a demand hit exactly as
+    {!access} would and return [true]; otherwise do {e nothing} and
+    return [false] (the caller falls back to the full walk). *)
 
 val mru_filter_hits : t -> int
-(** Accesses served by the MRU filter without an associative scan
-    (telemetry for the fast path; not part of {!stats}). *)
+(** Accesses served by the MRU filter without an associative scan, since
+    creation or the last {!reset_stats} (telemetry; not part of
+    {!stats}).  Never exceeds {!accesses}. *)
 
 val probe : t -> Addr.t -> bool
 (** Non-intrusive lookup: does not update LRU state or statistics. *)
@@ -65,6 +59,7 @@ val stats : t -> stats
 (** The live statistics record (mutated in place by operations). *)
 
 val reset_stats : t -> unit
+(** Zero {!stats} and {!mru_filter_hits}. *)
 
 val accesses : stats -> int
 (** [reads + writes]. *)

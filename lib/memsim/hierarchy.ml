@@ -107,7 +107,8 @@ let next_line_prefetch t ~now a =
     end
   end
 
-let access_walk t ~now ~write ~tlb_cycles a =
+let access t ~now ~write a =
+  let tlb_cycles = match t.tlb with None -> 0 | Some tlb -> Tlb.access tlb a in
   let cycles =
     if Cache.access t.l1 ~write a then t.lat.l1_hit
     else if Cache.access t.l2 ~write a then t.lat.l1_hit + t.lat.l1_miss
@@ -132,25 +133,6 @@ let access_walk t ~now ~write ~tlb_cycles a =
     end
   in
   cycles + tlb_cycles
-
-let access t ~now ~write a =
-  match t.tlb with
-  | None ->
-      (* L1-resident block filter: when the L1's MRU memo proves the
-         access hits, the whole two-level walk (and the set/tag
-         decomposition of the full L1 lookup) is skipped.  [mru_hit]
-         performs the demand-hit accounting itself; the [Fastpath] guard
-         lives here so the memo probe is branch-free inside. *)
-      if !Fastpath.enabled && Cache.mru_hit t.l1 ~write a then t.lat.l1_hit
-      else access_walk t ~now ~write ~tlb_cycles:0 a
-  | Some tlb -> access_walk t ~now ~write ~tlb_cycles:(Tlb.access tlb a) a
-
-(* Callers ({!Machine}) check [Fastpath.enabled] before dispatching here,
-   so this probe skips the flag read. *)
-let[@inline] try_hit t ~write a =
-  match t.tlb with
-  | None -> if Cache.mru_hit t.l1 ~write a then t.lat.l1_hit else -1
-  | Some _ -> -1
 
 let access_range t ~now ~write a ~bytes =
   if bytes <= 0 then invalid_arg "Hierarchy.access_range: bytes <= 0";

@@ -6,9 +6,9 @@ type t = {
   hier : Hierarchy.t;
   cost : Cost.t;
   (* hot-path shortcuts, all fixed at creation: the L1 cache and hit
-     latency let the fast arms probe the MRU filter without going
-     through {!Hierarchy.try_hit}'s dispatch, and [no_tlb] gates them
-     (with a TLB every access must pay the TLB walk) *)
+     latency let the word accessors probe the L1 MRU filter without
+     entering {!Hierarchy.access}, and [no_tlb] gates them (with a TLB
+     every access must pay the TLB walk) *)
   l1 : Cache.t;
   l1_hit_lat : int;
   no_tlb : bool;
@@ -59,11 +59,11 @@ let reserve t ~bytes ~align =
 let reserve_pages t n = reserve t ~bytes:(n * t.cfg.page_bytes) ~align:t.cfg.page_bytes
 let reserved_bytes t = t.brk
 
-let charge_load t lat =
+let[@inline] charge_load t lat =
   t.cost.Cost.busy <- t.cost.Cost.busy + 1;
   t.cost.Cost.load_stall <- t.cost.Cost.load_stall + (lat - 1)
 
-let charge_store t lat =
+let[@inline] charge_store t lat =
   t.cost.Cost.busy <- t.cost.Cost.busy + 1;
   t.cost.Cost.store_stall <- t.cost.Cost.store_stall + (lat - 1)
 
@@ -106,61 +106,28 @@ let unsubscribe t id =
   rebuild_notify t
 
 (* Timed word accessors.  When no tracer or subscriber is attached and
-   the fast path is on, the trace fan-out, the absolute-cycle
+   the L1 MRU filter proves a hit, the trace fan-out, the absolute-cycle
    computation (only needed by the prefetch engine on L2 misses) and the
-   full hierarchy walk all collapse into one monomorphic hit path:
-   unprofiled runs pay zero observer cost. *)
+   hierarchy walk all collapse into one monomorphic hit path: unprofiled
+   runs pay zero observer cost. *)
+let[@inline] latency t ~write a =
+  match t.notify with
+  | None when t.no_tlb && Cache.mru_hit t.l1 ~write a -> t.l1_hit_lat
+  | _ ->
+      trace t write a;
+      Hierarchy.access t.hier ~now:(now t) ~write a
 
 let load32 t a =
-  match t.notify with
-  | None when !Fastpath.enabled ->
-      if t.no_tlb && Cache.mru_hit t.l1 ~write:false a then begin
-        t.cost.Cost.busy <- t.cost.Cost.busy + 1;
-        t.cost.Cost.load_stall <- t.cost.Cost.load_stall + (t.l1_hit_lat - 1);
-        Memory.load32_fast t.mem a
-      end
-      else begin
-        charge_load t (Hierarchy.access t.hier ~now:(now t) ~write:false a);
-        Memory.load32_fast t.mem a
-      end
-  | _ ->
-      trace t false a;
-      charge_load t (Hierarchy.access t.hier ~now:(now t) ~write:false a);
-      Memory.load32 t.mem a
+  charge_load t (latency t ~write:false a);
+  Memory.load32 t.mem a
 
 let store32 t a v =
-  match t.notify with
-  | None when !Fastpath.enabled ->
-      if t.no_tlb && Cache.mru_hit t.l1 ~write:true a then begin
-        t.cost.Cost.busy <- t.cost.Cost.busy + 1;
-        t.cost.Cost.store_stall <- t.cost.Cost.store_stall + (t.l1_hit_lat - 1);
-        Memory.store32_fast t.mem a v
-      end
-      else begin
-        charge_store t (Hierarchy.access t.hier ~now:(now t) ~write:true a);
-        Memory.store32_fast t.mem a v
-      end
-  | _ ->
-      trace t true a;
-      charge_store t (Hierarchy.access t.hier ~now:(now t) ~write:true a);
-      Memory.store32 t.mem a v
+  charge_store t (latency t ~write:true a);
+  Memory.store32 t.mem a v
 
 let load32s t a =
-  match t.notify with
-  | None when !Fastpath.enabled ->
-      if t.no_tlb && Cache.mru_hit t.l1 ~write:false a then begin
-        t.cost.Cost.busy <- t.cost.Cost.busy + 1;
-        t.cost.Cost.load_stall <- t.cost.Cost.load_stall + (t.l1_hit_lat - 1);
-        Memory.load32s_fast t.mem a
-      end
-      else begin
-        charge_load t (Hierarchy.access t.hier ~now:(now t) ~write:false a);
-        Memory.load32s_fast t.mem a
-      end
-  | _ ->
-      trace t false a;
-      charge_load t (Hierarchy.access t.hier ~now:(now t) ~write:false a);
-      Memory.load32s t.mem a
+  charge_load t (latency t ~write:false a);
+  Memory.load32s t.mem a
 
 let loadf t a =
   trace t false a;

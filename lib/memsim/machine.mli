@@ -73,8 +73,9 @@ val ustoref : t -> Addr.t -> float -> unit
     coexist: a single primary tracer slot ([set_tracer], kept for the
     classic capture-a-trace workflow) and any number of subscriptions
     ([subscribe]), so several profilers can watch one run without
-    displacing each other.  The fast path costs one option match when
-    nothing is attached. *)
+    displacing each other.  With nothing attached, an access the L1's
+    MRU block filter proves a hit (on a machine without a TLB) skips the
+    hierarchy walk; observation costs one option match. *)
 
 val set_tracer : t -> (bool -> Addr.t -> unit) option -> unit
 (** Install (or remove) the primary observer — typically

@@ -5,15 +5,9 @@ type config = {
   miss_penalty : int;
 }
 
-type t = {
-  cfg : config;
-  sets : int;
-  pages : int array;  (* -1 = invalid *)
-  last_use : int array;
-  mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
-}
+(* A read-only cache whose blocks are pages: every translation is a
+   demand read, so hits and misses are the cache's read counters. *)
+type t = { cfg : config; pages : Cache.t }
 
 let default_config ~page_bytes =
   (* 64-entry fully associative dTLB; UltraSPARC handles misses with a
@@ -25,58 +19,26 @@ let create cfg =
     invalid_arg "Tlb.create: entries must be a power of two";
   if cfg.entries mod cfg.assoc <> 0 then
     invalid_arg "Tlb.create: assoc must divide entries";
-  let sets = cfg.entries / cfg.assoc in
   {
     cfg;
-    sets;
-    pages = Array.make cfg.entries (-1);
-    last_use = Array.make cfg.entries 0;
-    tick = 0;
-    hits = 0;
-    misses = 0;
+    pages =
+      Cache.create
+        (Cache_config.v ~policy:Cache_config.Write_through ~name:"TLB"
+           ~sets:(cfg.entries / cfg.assoc) ~assoc:cfg.assoc
+           ~block_bytes:cfg.page_bytes ());
   }
 
 let config t = t.cfg
 
 let access t a =
-  let page = Addr.page_index a ~page_bytes:t.cfg.page_bytes in
-  let set = page land (t.sets - 1) in
-  let base = set * t.cfg.assoc in
-  let found = ref (-1) in
-  for w = 0 to t.cfg.assoc - 1 do
-    if !found < 0 && t.pages.(base + w) = page then found := base + w
-  done;
-  t.tick <- t.tick + 1;
-  if !found >= 0 then begin
-    t.last_use.(!found) <- t.tick;
-    t.hits <- t.hits + 1;
-    0
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    (* replace invalid way if any, else LRU *)
-    let victim = ref base in
-    let invalid = ref (t.pages.(base) = -1) in
-    for w = 1 to t.cfg.assoc - 1 do
-      let i = base + w in
-      if not !invalid then
-        if t.pages.(i) = -1 then begin
-          victim := i;
-          invalid := true
-        end
-        else if t.last_use.(i) < t.last_use.(!victim) then victim := i
-    done;
-    t.pages.(!victim) <- page;
-    t.last_use.(!victim) <- t.tick;
-    t.cfg.miss_penalty
-  end
+  if Cache.access t.pages ~write:false a then 0 else t.cfg.miss_penalty
 
-let hits t = t.hits
-let misses t = t.misses
+let misses t = (Cache.stats t.pages).Cache.read_misses
+let hits t = (Cache.stats t.pages).Cache.reads - misses t
 
 type stats = { t_hits : int; t_misses : int }
 
-let stats t = { t_hits = t.hits; t_misses = t.misses }
+let stats t = { t_hits = hits t; t_misses = misses t }
 
 let stats_miss_rate s =
   let n = s.t_hits + s.t_misses in
@@ -86,10 +48,5 @@ let pp_stats ppf s =
   Format.fprintf ppf "hits=%d misses=%d miss_rate=%.4f" s.t_hits s.t_misses
     (stats_miss_rate s)
 
-let clear t =
-  Array.fill t.pages 0 (Array.length t.pages) (-1);
-  Array.fill t.last_use 0 (Array.length t.last_use) 0
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
+let clear t = Cache.clear t.pages
+let reset_stats t = Cache.reset_stats t.pages

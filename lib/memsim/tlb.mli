@@ -1,16 +1,17 @@
 (** A small translation lookaside buffer.
 
-    Modelled as a set-associative cache of page numbers.  The paper's
-    Section 5.4 notes that TLB effects (which its analytic model omits)
-    contribute to the model's systematic ~15% underestimate; the TLB here
-    lets experiments quantify that component. *)
+    A read-only set-associative LRU {!Cache} whose blocks are pages
+    ([entries/assoc] sets of [assoc] ways).  The paper's Section 5.4
+    notes that TLB effects (which its analytic model omits) contribute to
+    the model's systematic ~15% underestimate; the TLB here lets
+    experiments quantify that component. *)
 
 type t
 
 type config = {
   entries : int;  (** total entries; power of two *)
   assoc : int;  (** ways; [entries/assoc] sets *)
-  page_bytes : int;
+  page_bytes : int;  (** power of two *)
   miss_penalty : int;  (** cycles to walk the page table *)
 }
 

@@ -1,5 +1,6 @@
 (* Unit + property tests for the single-level cache simulator, including
-   an LRU reference-model equivalence property. *)
+   equivalence properties against an LRU reference model (also used by
+   the machine- and TLB-level properties in other suites). *)
 
 module C = Memsim.Cache
 module CC = Memsim.Cache_config
@@ -98,45 +99,144 @@ let test_occupancy () =
   Alcotest.(check int) "set 0 full" 2 (C.set_occupancy c 0);
   Alcotest.(check int) "set 1 one way" 1 (C.set_occupancy c 1)
 
-(* Reference model: a per-set MRU-first list of tags. *)
+(* Reference model: per set, an MRU-first list of (tag, dirty) lines,
+   with its own statistics record.  Written for obviousness, not speed;
+   the simulator's caches and its TLB are checked against it. *)
 module Ref_model = struct
-  type t = { sets : int; assoc : int; block : int; lists : int list array }
+  type t = {
+    sets : int;
+    assoc : int;
+    block : int;
+    write_back : bool;
+    lists : (int * bool) list array;
+    stats : C.stats;
+  }
 
   let create (cfg : CC.t) =
     {
       sets = cfg.CC.sets;
       assoc = cfg.assoc;
       block = cfg.block_bytes;
+      write_back = cfg.policy = CC.Write_back;
       lists = Array.make cfg.CC.sets [];
+      stats =
+        {
+          C.reads = 0;
+          writes = 0;
+          read_misses = 0;
+          write_misses = 0;
+          evictions = 0;
+          writebacks = 0;
+          prefetch_installs = 0;
+        };
     }
 
-  let access t addr =
-    let tag = addr / t.block in
-    let set = tag mod t.sets in
+  let stats t = t.stats
+  let set_of t tag = tag mod t.sets
+
+  (* Put a new line at the MRU end, evicting the LRU line of a full set. *)
+  let insert t tag ~dirty =
+    let set = set_of t tag in
     let l = t.lists.(set) in
-    let hit = List.mem tag l in
-    let l = tag :: List.filter (fun x -> x <> tag) l in
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
+    let l =
+      if List.length l < t.assoc then l
+      else
+        match List.rev l with
+        | (_, was_dirty) :: rest ->
+            t.stats.C.evictions <- t.stats.C.evictions + 1;
+            if was_dirty then t.stats.C.writebacks <- t.stats.C.writebacks + 1;
+            List.rev rest
+        | [] -> []
     in
-    t.lists.(set) <- take t.assoc l;
-    hit
+    t.lists.(set) <- (tag, dirty) :: l
+
+  let access t ~write addr =
+    let s = t.stats in
+    let tag = addr / t.block in
+    let set = set_of t tag in
+    if write then s.C.writes <- s.C.writes + 1 else s.C.reads <- s.C.reads + 1;
+    let dirty = write && t.write_back in
+    match List.assoc_opt tag t.lists.(set) with
+    | Some was_dirty ->
+        t.lists.(set) <-
+          (tag, was_dirty || dirty) :: List.remove_assoc tag t.lists.(set);
+        true
+    | None ->
+        if write then s.C.write_misses <- s.C.write_misses + 1
+        else s.C.read_misses <- s.C.read_misses + 1;
+        insert t tag ~dirty;
+        false
+
+  let probe t addr =
+    let tag = addr / t.block in
+    List.mem_assoc tag t.lists.(set_of t tag)
+
+  (* A present block keeps its LRU position, as in the simulator. *)
+  let install t ~prefetch addr =
+    if not (probe t addr) then begin
+      insert t (addr / t.block) ~dirty:false;
+      if prefetch then
+        t.stats.C.prefetch_installs <- t.stats.C.prefetch_installs + 1
+    end
+
+  let invalidate t addr =
+    let tag = addr / t.block in
+    let set = set_of t tag in
+    t.lists.(set) <- List.remove_assoc tag t.lists.(set)
+
+  let clear t = Array.fill t.lists 0 t.sets []
+
+  let resident t =
+    Array.fold_left (fun n l -> n + List.length l) 0 t.lists
 end
 
+(* Every cache operation, on write-back and write-through geometries:
+   op codes 0-7 read, 8-13 write, 14-15 install, 16 prefetch install,
+   17-18 invalidate, 19 clear.  Each access's hit/miss, every probe, the
+   full statistics record and the resident-line count must agree. *)
+let oracle_configs =
+  [|
+    CC.v ~name:"wb-2way" ~sets:4 ~assoc:2 ~block_bytes:16 ();
+    CC.v ~policy:CC.Write_through ~name:"wt-2way" ~sets:4 ~assoc:2
+      ~block_bytes:16 ();
+    CC.v ~name:"wb-dm" ~sets:8 ~assoc:1 ~block_bytes:32 ();
+    CC.v ~name:"wb-4way" ~sets:2 ~assoc:4 ~block_bytes:16 ();
+  |]
+
 let prop_matches_reference =
-  QCheck.Test.make ~count:100 ~name:"LRU cache matches reference model"
-    QCheck.(list_of_size (Gen.int_range 1 400) (int_bound 1023))
-    (fun addrs ->
-      let cfg = CC.v ~name:"p" ~sets:4 ~assoc:2 ~block_bytes:16 () in
+  QCheck.Test.make ~count:200 ~name:"LRU cache matches reference model"
+    QCheck.(
+      pair
+        (int_bound (Array.length oracle_configs - 1))
+        (list_of_size (Gen.int_range 1 300) (pair (int_bound 19) (int_bound 511))))
+    (fun (k, ops) ->
+      let cfg = oracle_configs.(k) in
       let c = C.create cfg in
       let r = Ref_model.create cfg in
-      List.for_all
-        (fun a ->
-          let addr = a * 4 in
-          C.access c ~write:false addr = Ref_model.access r addr)
-        addrs)
+      let step (op, a) =
+        let addr = a * 4 in
+        if op < 14 then
+          let write = op >= 8 in
+          C.access c ~write addr = Ref_model.access r ~write addr
+        else begin
+          (if op < 17 then begin
+             C.install c ~prefetch:(op = 16) addr;
+             Ref_model.install r ~prefetch:(op = 16) addr
+           end
+           else if op < 19 then begin
+             C.invalidate c addr;
+             Ref_model.invalidate r addr
+           end
+           else begin
+             C.clear c;
+             Ref_model.clear r
+           end);
+          C.probe c addr = Ref_model.probe r addr
+        end
+      in
+      List.for_all step ops
+      && C.stats c = Ref_model.stats r
+      && C.resident_blocks c = Ref_model.resident r)
 
 let prop_miss_bound =
   QCheck.Test.make ~count:100 ~name:"misses never exceed accesses"

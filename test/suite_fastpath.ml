@@ -1,15 +1,18 @@
-(* The throughput engine's correctness contract: the fast path (MRU
-   block filters, allocation-free lookups, the monomorphic machine hit
-   path) must be invisible in every simulated number, and the parallel
-   experiment runner must reproduce serial results exactly. *)
+(* The simulator's fast per-access machinery (MRU block filters,
+   allocation-free lookups, the monomorphic machine hit path) must be
+   invisible in every simulated number, checked here against pinned
+   whole-run fingerprints and against reference models; and the
+   parallel experiment runner must reproduce serial results exactly. *)
 
 module M = Memsim
 module CC = Memsim.Cache_config
 module Cache = Memsim.Cache
 module Hierarchy = Memsim.Hierarchy
 module Machine = Memsim.Machine
+module Tlb = Memsim.Tlb
 module OC = Olden.Common
 module J = Obs.Json
+module Ref_model = Suite_cache.Ref_model
 
 let stats_tuple (s : Cache.stats) =
   ( s.Cache.reads,
@@ -21,110 +24,227 @@ let stats_tuple (s : Cache.stats) =
     s.Cache.prefetch_installs )
 
 (* ------------------------------------------------------------------ *)
-(* Differential: whole Olden benchmarks, fast path off vs on           *)
+(* Whole Olden benchmarks against pinned fingerprints                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything the simulator reports, as one comparable value.  Also
-   returns the L1 MRU filter hit count so the fast run can prove the
-   filter actually engaged (a filter that never fires would make the
-   differential test vacuous). *)
-let olden_fingerprint ~fast ~placement which =
-  M.Fastpath.with_mode fast (fun () ->
-      let ctx = OC.make_ctx placement in
-      let r =
-        match which with
-        | `Treeadd ->
-            Olden.Treeadd.run
-              ~params:{ Olden.Treeadd.levels = 10; passes = 2 }
-              ~ctx placement
-        | `Health ->
-            Olden.Health.run
-              ~params:
-                { Olden.Health.levels = 2; steps = 60; morph_interval = 15;
-                  seed = 7 }
-              ~ctx placement
-      in
-      let h = Machine.hierarchy ctx.OC.machine in
-      let fp =
-        ( r.OC.checksum,
-          r.OC.snapshot,
-          stats_tuple (Cache.stats (Hierarchy.l1 h)),
-          stats_tuple (Cache.stats (Hierarchy.l2 h)) )
-      in
-      (fp, Cache.mru_filter_hits (Hierarchy.l1 h)))
+(* Everything the simulator reports, as one comparable value.  L1/L2
+   stats are (reads, writes, read_misses, write_misses, evictions,
+   writebacks, prefetch_installs). *)
+type fingerprint = {
+  checksum : int;
+  cost : M.Cost.snapshot;
+  l1 : int * int * int * int * int * int * int;
+  l2 : int * int * int * int * int * int * int;
+  tlb : Tlb.stats option;
+}
 
-let check_differential which placement () =
-  let fast, mru = olden_fingerprint ~fast:true ~placement which in
-  let slow, _ = olden_fingerprint ~fast:false ~placement which in
-  Alcotest.(check bool)
-    "cycles, misses, evictions and writebacks bit-identical" true (fast = slow);
+let pp_fingerprint ppf f =
+  let pp_lvl ppf (a, b, c, d, e, g, h) =
+    Format.fprintf ppf "(%d, %d, %d, %d, %d, %d, %d)" a b c d e g h
+  in
+  Format.fprintf ppf "checksum=%d %a l1=%a l2=%a%s" f.checksum
+    M.Cost.pp_snapshot f.cost pp_lvl f.l1 pp_lvl f.l2
+    (match f.tlb with
+    | None -> ""
+    | Some t -> Printf.sprintf " tlb=%d/%d" t.Tlb.t_hits t.Tlb.t_misses)
+
+let fingerprint_t = Alcotest.testable pp_fingerprint ( = )
+
+(* Returns the fingerprint and the L1 MRU filter hit count, so each test
+   can prove the filter actually engaged (a filter that never fires
+   would make the pinned comparison vacuous). *)
+let olden_fingerprint ?config ?engine ?(treeadd_levels = 10) ~placement which =
+  let ctx = OC.make_ctx ?config placement in
+  let ctx =
+    match engine with
+    | None -> ctx
+    | Some e ->
+        {
+          ctx with
+          OC.morph_params =
+            Some { Ccsl.Ccmorph.default_params with cluster = Ccsl.Ccmorph.Engine e };
+        }
+  in
+  let r =
+    match which with
+    | `Treeadd ->
+        Olden.Treeadd.run
+          ~params:{ Olden.Treeadd.levels = treeadd_levels; passes = 2 }
+          ~ctx placement
+    | `Health ->
+        Olden.Health.run
+          ~params:
+            { Olden.Health.levels = 2; steps = 60; morph_interval = 15;
+              seed = 7 }
+          ~ctx placement
+  in
+  let h = Machine.hierarchy ctx.OC.machine in
+  ( {
+      checksum = r.OC.checksum;
+      cost = r.OC.snapshot;
+      l1 = stats_tuple (Cache.stats (Hierarchy.l1 h));
+      l2 = stats_tuple (Cache.stats (Hierarchy.l2 h));
+      tlb = Option.map Tlb.stats (Hierarchy.tlb h);
+    },
+    Cache.mru_filter_hits (Hierarchy.l1 h) )
+
+let cost s_busy s_load_stall s_store_stall =
+  {
+    M.Cost.s_busy;
+    s_load_stall;
+    s_store_stall;
+    s_prefetch_issue = 0;
+    s_total = s_busy + s_load_stall + s_store_stall;
+  }
+
+(* Recorded from the simulator before its reference arms were removed,
+   when these runs were checked bit-identical against them. *)
+let pinned_treeadd_base =
+  {
+    checksum = 1023;
+    cost = cost 8184 2295 0;
+    l1 = (6138, 0, 255, 0, 255, 0, 0);
+    l2 = (255, 0, 0, 0, 0, 0, 0);
+    tlb = None;
+  }
+
+let pinned_treeadd_clcol =
+  {
+    checksum = 1023;
+    cost = cost 8184 0 0;
+    l1 = (6138, 0, 0, 0, 0, 0, 0);
+    l2 = (0, 0, 0, 0, 0, 0, 0);
+    tlb = None;
+  }
+
+let pinned_health_base =
+  {
+    checksum = 434426;
+    cost = cost 185518 26559 11880;
+    l1 = (69003, 30949, 2951, 240, 3063, 0, 0);
+    l2 = (2951, 240, 0, 162, 0, 0, 0);
+    tlb = None;
+  }
+
+let pinned_health_clcol =
+  {
+    checksum = 434426;
+    cost = cost 184384 93500 38277;
+    l1 = (70472, 34657, 10381, 933, 11186, 0, 0);
+    l2 = (10381, 933, 0, 498, 77, 77, 0);
+    tlb = None;
+  }
+
+(* 2^15-node treeadd on the UltraSPARC with its 64-entry TLB: the tree
+   outgrows TLB reach, so the pin covers TLB misses too. *)
+let pinned_treeadd_tlb =
+  {
+    checksum = 32767;
+    cost = cost 262136 396484 0;
+    l1 = (196602, 0, 65534, 0, 65534, 0, 0);
+    l2 = (65534, 0, 0, 0, 0, 0, 0);
+    tlb = Some { Tlb.t_hits = 196520; t_misses = 82 };
+  }
+
+let check_pinned ?config ?engine ?treeadd_levels which placement pinned () =
+  let fp, mru =
+    olden_fingerprint ?config ?engine ?treeadd_levels ~placement which
+  in
+  Alcotest.check fingerprint_t
+    "checksum, cycles, misses, evictions and writebacks" pinned fp;
   Alcotest.(check bool) "MRU filter engaged" true (mru > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Properties: random streams, fast vs reference                       *)
+(* Machine against a memory model and two reference cache levels       *)
 (* ------------------------------------------------------------------ *)
 
-let prop_cache_fast_equals_ref =
+(* Random word loads (plain and sign-extending) and stores on the tiny
+   machine, with and without an observer attached (the two machine
+   paths).  Loaded values must match a hashtable memory; the cycle
+   count must equal the latencies implied by two [Ref_model] levels (L2
+   is consulted only on an L1 miss; no prefetching, no TLB). *)
+let prop_machine_matches_models =
+  QCheck.Test.make ~count:100 ~name:"machine matches memory and LRU models"
+    QCheck.(
+      pair bool
+        (list_of_size (Gen.int_range 1 300)
+           (triple (int_bound 8191) (int_bound 2) int)))
+    (fun (observed, ops) ->
+      let cfg = M.Config.tiny () in
+      let m = Machine.create cfg in
+      if observed then ignore (Machine.subscribe m (fun _ _ -> ()));
+      let base = Machine.reserve m ~bytes:32768 ~align:64 in
+      let mem = Hashtbl.create 64 in
+      let l1 = Ref_model.create cfg.M.Config.l1 in
+      let l2 = Ref_model.create cfg.M.Config.l2 in
+      let lat = cfg.M.Config.latencies in
+      let cycles = ref 0 in
+      let step (a, kind, v) =
+        let addr = base + (a * 4) in
+        let write = kind = 2 in
+        cycles :=
+          !cycles
+          + (if Ref_model.access l1 ~write addr then lat.Hierarchy.l1_hit
+             else if Ref_model.access l2 ~write addr then
+               lat.Hierarchy.l1_hit + lat.Hierarchy.l1_miss
+             else lat.Hierarchy.l1_hit + lat.Hierarchy.l1_miss + lat.Hierarchy.l2_miss);
+        let word = Option.value (Hashtbl.find_opt mem addr) ~default:0 in
+        match kind with
+        | 0 -> Machine.load32 m addr = word
+        | 1 ->
+            Machine.load32s m addr
+            = if word land 0x80000000 <> 0 then word - 0x100000000 else word
+        | _ ->
+            Machine.store32 m addr v;
+            Hashtbl.replace mem addr (v land 0xffffffff);
+            true
+      in
+      let h = Machine.hierarchy m in
+      List.for_all step ops
+      && Machine.cycles m = !cycles
+      && Cache.stats (Hierarchy.l1 h) = Ref_model.stats l1
+      && Cache.stats (Hierarchy.l2 h) = Ref_model.stats l2)
+
+(* The MRU-filtered [Cache.access] against the list-based LRU model,
+   which keeps no memo: every answer and every counter must agree. *)
+let prop_cache_filtered_equals_ref =
   QCheck.Test.make ~count:100
     ~name:"MRU-filtered cache access equals unmemoized reference"
     QCheck.(list_of_size (Gen.int_range 1 300) (pair (int_bound 2047) bool))
     (fun ops ->
       let cfg = CC.v ~name:"p" ~sets:4 ~assoc:2 ~block_bytes:16 () in
-      let cf = Cache.create cfg in
-      let cr = Cache.create cfg in
-      let agree =
-        List.for_all
-          (fun (a, write) ->
-            let addr = a * 4 in
-            M.Fastpath.with_mode true (fun () -> Cache.access cf ~write addr)
-            = M.Fastpath.with_mode false (fun () ->
-                  Cache.access cr ~write addr))
-          ops
-      in
-      agree && stats_tuple (Cache.stats cf) = stats_tuple (Cache.stats cr))
-
-let prop_machine_fast_equals_ref =
-  QCheck.Test.make ~count:60
-    ~name:"machine load/store fast path equals reference path"
-    QCheck.(
-      list_of_size (Gen.int_range 1 200)
-        (triple (int_bound 1023) bool (int_bound 65535)))
-    (fun ops ->
-      let run fast =
-        M.Fastpath.with_mode fast (fun () ->
-            let m = Machine.create (M.Config.tiny ()) in
-            let base = Machine.reserve m ~bytes:4096 ~align:64 in
-            let vals =
-              List.map
-                (fun (a, store, v) ->
-                  let addr = base + (a / 4 * 4) in
-                  if store then begin
-                    Machine.store32 m addr v;
-                    -1
-                  end
-                  else Machine.load32 m addr)
-                ops
-            in
-            let h = Machine.hierarchy m in
-            ( vals,
-              Machine.cycles m,
-              stats_tuple (Cache.stats (Hierarchy.l1 h)),
-              stats_tuple (Cache.stats (Hierarchy.l2 h)) ))
-      in
-      run true = run false)
+      let c = Cache.create cfg in
+      let r = Ref_model.create cfg in
+      List.for_all
+        (fun (a, write) ->
+          let addr = a * 4 in
+          Cache.access c ~write addr = Ref_model.access r ~write addr)
+        ops
+      && Cache.stats c = Ref_model.stats r)
 
 let test_mru_filter_counts () =
   let c = Cache.create (CC.v ~name:"m" ~sets:4 ~assoc:2 ~block_bytes:16 ()) in
-  M.Fastpath.with_mode true (fun () ->
-      (* miss installs the block and primes the memo; the next three
-         same-block accesses are pure filter hits *)
-      ignore (Cache.access c ~write:false 0);
-      ignore (Cache.access c ~write:false 4);
-      ignore (Cache.access c ~write:false 8);
-      ignore (Cache.access c ~write:true 12));
+  (* miss installs the block and primes the memo; the next three
+     same-block accesses are pure filter hits *)
+  ignore (Cache.access c ~write:false 0);
+  ignore (Cache.access c ~write:false 4);
+  ignore (Cache.access c ~write:false 8);
+  ignore (Cache.access c ~write:true 12);
   Alcotest.(check int) "filter hits" 3 (Cache.mru_filter_hits c);
   Alcotest.(check int) "demand accesses still counted" 4
     (Cache.accesses (Cache.stats c))
+
+let test_mru_filter_reset () =
+  let c = Cache.create (CC.v ~name:"m" ~sets:4 ~assoc:2 ~block_bytes:16 ()) in
+  for k = 0 to 9 do
+    ignore (Cache.access c ~write:false (k land 3))
+  done;
+  Alcotest.(check int) "primed" 9 (Cache.mru_filter_hits c);
+  Cache.reset_stats c;
+  Alcotest.(check int) "reset with the stats" 0 (Cache.mru_filter_hits c);
+  ignore (Cache.access c ~write:false 0);
+  Alcotest.(check bool) "filter hits <= accesses" true
+    (Cache.mru_filter_hits c <= Cache.accesses (Cache.stats c))
 
 (* ------------------------------------------------------------------ *)
 (* Machine.subscribe: O(1) prepend, stable observer order              *)
@@ -266,15 +386,22 @@ let tests =
     ( "fastpath",
       [
         Alcotest.test_case "differential treeadd (base)" `Quick
-          (check_differential `Treeadd OC.Base);
+          (check_pinned `Treeadd OC.Base pinned_treeadd_base);
         Alcotest.test_case "differential treeadd (cluster+color)" `Quick
-          (check_differential `Treeadd OC.Ccmorph_cluster_color);
+          (check_pinned `Treeadd OC.Ccmorph_cluster_color pinned_treeadd_clcol);
         Alcotest.test_case "differential health (base)" `Quick
-          (check_differential `Health OC.Base);
+          (check_pinned `Health OC.Base pinned_health_base);
         Alcotest.test_case "differential health (cluster+color)" `Quick
-          (check_differential `Health OC.Ccmorph_cluster_color);
+          (check_pinned `Health OC.Ccmorph_cluster_color pinned_health_clcol);
+        Alcotest.test_case "pinned treeadd with TLB (subtree)" `Quick
+          (check_pinned
+             ~config:(M.Config.ultrasparc_e5000 ~tlb:true ())
+             ~engine:Layout.Engine.subtree ~treeadd_levels:15 `Treeadd
+             OC.Ccmorph_cluster_color pinned_treeadd_tlb);
         Alcotest.test_case "MRU filter hit accounting" `Quick
           test_mru_filter_counts;
+        Alcotest.test_case "MRU filter hits reset with stats" `Quick
+          test_mru_filter_reset;
         Alcotest.test_case "subscription order" `Quick test_subscription_order;
         Alcotest.test_case "MSHR fixed-slot table" `Quick test_mshr_table;
         Alcotest.test_case "parallel runner matches serial" `Quick
@@ -283,7 +410,7 @@ let tests =
           test_parallel_error_propagates;
         Alcotest.test_case "arm payload round-trip" `Quick
           test_arm_payload_roundtrip;
-        QCheck_alcotest.to_alcotest prop_cache_fast_equals_ref;
-        QCheck_alcotest.to_alcotest prop_machine_fast_equals_ref;
+        QCheck_alcotest.to_alcotest prop_cache_filtered_equals_ref;
+        QCheck_alcotest.to_alcotest prop_machine_matches_models;
       ] );
   ]

@@ -253,6 +253,36 @@ let test_trace_miss_curve () =
   Alcotest.(check (float 0.01)) "big cache: half the accesses miss" 0.5
     (List.nth rates 0 |> fun _ -> List.nth rates 2)
 
+(* The TLB against the LRU reference model, with the page as the block:
+   hit/miss per translation and the final counters, on set-associative
+   geometries (assoc < entries) over streams of more pages than entries. *)
+let prop_tlb_matches_reference =
+  QCheck.Test.make ~count:100 ~name:"tlb matches LRU reference model"
+    QCheck.(
+      pair (int_bound 3)
+        (list_of_size (Gen.int_range 1 400) (pair (int_bound 63) (int_bound 4095))))
+    (fun (k, refs) ->
+      let entries = 16 and assoc = 1 lsl k and page_bytes = 4096 in
+      let tlb =
+        Memsim.Tlb.create
+          { Memsim.Tlb.entries; assoc; page_bytes; miss_penalty = 40 }
+      in
+      let r =
+        Suite_cache.Ref_model.create
+          (CC.v ~name:"pages" ~sets:(entries / assoc) ~assoc
+             ~block_bytes:page_bytes ())
+      in
+      List.for_all
+        (fun (page, off) ->
+          let a = (page * page_bytes) + off in
+          (Memsim.Tlb.access tlb a = 0)
+          = Suite_cache.Ref_model.access r ~write:false a)
+        refs
+      &&
+      let s = Suite_cache.Ref_model.stats r in
+      Memsim.Tlb.misses tlb = s.Memsim.Cache.read_misses
+      && Memsim.Tlb.hits tlb = s.Memsim.Cache.reads - s.Memsim.Cache.read_misses)
+
 let tests =
   [
     ( "hierarchy",
@@ -269,6 +299,7 @@ let tests =
         Alcotest.test_case "range access straddling" `Quick
           test_access_range_straddle;
         Alcotest.test_case "tlb behaviour" `Quick test_tlb;
+        QCheck_alcotest.to_alcotest prop_tlb_matches_reference;
       ] );
     ( "machine",
       [
