@@ -251,10 +251,10 @@ let run_cmd =
   in
   let parallel_term =
     let doc =
-      "Run the placement arms as concurrent forked processes \
-       (JSON-over-pipe).  Results, including the JSON export, are \
-       byte-identical to a serial run; wall time drops to the slowest \
-       arm on multi-core machines."
+      "Run the placement arms as concurrent forked processes, each \
+       marshalling its result back over a pipe.  Results, including \
+       the JSON export, are byte-identical to a serial run; wall time \
+       drops to the slowest arm on multi-core machines."
     in
     Arg.(value & flag & info [ "parallel" ] ~doc)
   in
@@ -350,9 +350,9 @@ let layout_cmd =
   in
   let parallel_term =
     let doc =
-      "Run the engines as concurrent forked jobs (JSON-over-pipe); \
-       results, including the JSON export, are byte-identical to a \
-       serial run."
+      "Run the engines as concurrent forked jobs, each marshalling \
+       its row back over a pipe; results, including the JSON export, \
+       are byte-identical to a serial run."
     in
     Arg.(value & flag & info [ "parallel" ] ~doc)
   in

@@ -23,9 +23,8 @@ let cluster_name = Ccsl.Ccmorph.scheme_name
    (p = 1/2), exactly the depth-first form. *)
 let scheme_k ~block_elems scheme =
   match Ccsl.Ccmorph.scheme_name scheme with
-  | "depth_first" -> Ccsl.Clustering.expected_accesses_depth_first ~k:block_elems
-  | "weighted" ->
-      Ccsl.Clustering.expected_accesses_weighted ~k:block_elems ~p:0.5
+  | "depth_first" -> Ccsl.Model.Ctree.k_depth_first ~block_elems
+  | "weighted" -> Ccsl.Model.Ctree.k_weighted ~block_elems ~p:0.5
   | _ -> Ccsl.Model.Ctree.k ~block_elems
 
 let default_color_fracs = [ 0.25; 0.5; 0.75 ]

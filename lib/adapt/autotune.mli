@@ -52,9 +52,10 @@ val search :
 
 val scheme_k : block_elems:int -> Ccsl.Ccmorph.cluster_scheme -> float
 (** The Section 5 [K] (expected same-block elements used per entered
-    block) the model assigns a scheme: [log2 (k+1)] for subtree/vEB,
-    the geometric forms from {!Ccsl.Clustering} for depth-first and
-    (unprofiled) weighted. *)
+    block) the model assigns a scheme: {!Ccsl.Model.Ctree.k} for
+    subtree/vEB, {!Ccsl.Model.Ctree.k_depth_first} for depth-first and
+    {!Ccsl.Model.Ctree.k_weighted} at [p = 1/2] for (unprofiled)
+    weighted. *)
 
 val morph_params : recommendation -> Ccsl.Ccmorph.params
 (** The recommendation as ready-to-use [ccmorph] parameters. *)

@@ -183,7 +183,7 @@ let do_morph ?session params m desc roots =
     in
     let plan = engine.Layout.Engine.plan tree ~k in
     if !debug_check_plans then Layout.Plan.check plan ~n ~k;
-    let nblocks = Array.length plan.Clustering.blocks in
+    let nblocks = Array.length plan.Layout.Plan.blocks in
     (* Address-assignment order: the plan emits blocks breadth-first
        (nearest the root first), which is what coloring wants for its hot
        prefix; the remaining blocks are laid out in depth-first
@@ -194,7 +194,7 @@ let do_morph ?session params m desc roots =
       let seen = Array.make nblocks false in
       let out = ref [] in
       let rec go v =
-        let b = plan.Clustering.block_of_node.(v) in
+        let b = plan.Layout.Plan.block_of_node.(v) in
         if not seen.(b) then begin
           seen.(b) <- true;
           out := b :: !out
@@ -322,7 +322,7 @@ let do_morph ?session params m desc roots =
             done;
             bytes_copied := !bytes_copied + desc.elem_bytes)
           members)
-      plan.Clustering.blocks;
+      plan.Layout.Plan.blocks;
     (* Rewrite child (and parent) pointers in the copies. *)
     let rewrite v =
       let na = new_addrs.(v) in

@@ -33,6 +33,15 @@ module Ctree = struct
   let d ~n = log2 (float_of_int (n + 1))
   let k ~block_elems = log2 (float_of_int (block_elems + 1))
 
+  let k_depth_first ~block_elems =
+    2. *. (1. -. (0.5 ** float_of_int block_elems))
+
+  let k_weighted ~block_elems ~p =
+    if p < 0. || p > 1. then
+      invalid_arg "Model.Ctree.k_weighted: p outside [0, 1]";
+    if p >= 1. then float_of_int block_elems
+    else (1. -. (p ** float_of_int block_elems)) /. (1. -. p)
+
   let r_s ~sets ~assoc ~block_elems ~color_frac =
     log2
       ((color_frac *. float_of_int (sets * block_elems * assoc)) +. 1.)

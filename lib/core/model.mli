@@ -46,7 +46,27 @@ module Ctree : sig
   (** [log2 (n+1)]: nodes examined by a search. *)
 
   val k : block_elems:int -> float
-  (** [K = log2 (k+1)] where [k] elements share a block. *)
+  (** [K = log2 (k+1)] where [k] elements share a block: the expected
+      accesses per entered block under random binary search when the
+      block holds a [k]-node subtree (Section 2.1).  The same bound
+      holds for a block of the recursive van Emde Boas layout, whose
+      blocks are themselves subtrees, and it holds there at every block
+      size at once, pages included (the cache-oblivious property;
+      Lindstrom & Rajan). *)
+
+  val k_depth_first : block_elems:int -> float
+  (** [K] for a depth-first parent-child-grandchild chain of [k]
+      elements: [sum_{i=0}^{k-1} (1/2)^i = 2 (1 - (1/2)^k)], below 2
+      for any [k] (Section 2.1). *)
+
+  val k_weighted : block_elems:int -> p:float -> float
+  (** [K] for a hot-chain block of [k] elements when the traversal
+      follows the packed hottest child with probability [p] at each
+      step: [sum_{i=0}^{k-1} p^i = (1 - p^k) / (1 - p)], and [k] exactly
+      when [p = 1].  At [p = 1/2], an unprofiled random descent, this is
+      {!k_depth_first}, which is why the weighted engine needs a real
+      profile to win.
+      @raise Invalid_argument if [p] is outside [0, 1]. *)
 
   val r_s : sets:int -> assoc:int -> block_elems:int -> color_frac:float -> float
   (** [R_s = log2 (color_frac * c * k * a + 1)]: the colored top of the
@@ -62,10 +82,9 @@ module Ctree : sig
     n:int -> sets:int -> assoc:int -> block_elems:int -> color_frac:float ->
     k:float -> float
   (** {!miss_rate} with an explicit spatial-locality factor [K] instead
-      of the subtree form [log2 (block_elems+1)] — pass a per-engine
-      expected-accesses value from {!Clustering} (e.g.
-      [expected_accesses_depth_first]) to model a different layout
-      engine in the same steady-state framework.
+      of the subtree form {!k} — pass another engine's factor (e.g.
+      {!k_depth_first}) to model that layout engine in the same
+      steady-state framework.
       @raise Invalid_argument if [k < 1]. *)
 
   val transient_miss_rate :

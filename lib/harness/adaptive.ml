@@ -22,8 +22,8 @@ type report = {
   arms : arm list;  (** base, static ccmorph, adaptive *)
   recommendation : J.t option;
       (** {!Adapt.Autotune.to_json} of the adaptive arm's autotuned
-          parameters — kept as JSON because it crosses the
-          parallel-runner pipe verbatim *)
+          parameters: kept as JSON because the recommended engine holds
+          closures, which cannot cross the parallel runner's pipe *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -134,7 +134,7 @@ let recommend ?seed bench ta h =
     ~block_elems ()
 
 (* ------------------------------------------------------------------ *)
-(* Arm payloads: the JSON each (possibly forked) arm job returns       *)
+(* Counter serializers                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let advisor_stats_json (s : Adapt.Advisor.stats) =
@@ -146,15 +146,6 @@ let advisor_stats_json (s : Adapt.Advisor.stats) =
       ("sites_adapted", J.Int s.Adapt.Advisor.sites_adapted);
       ("sites_backed_off", J.Int s.Adapt.Advisor.sites_backed_off);
     ]
-
-let advisor_stats_of_json j =
-  {
-    Adapt.Advisor.hints_kept = Report.geti "hints_kept" j;
-    hints_supplied = Report.geti "hints_supplied" j;
-    hints_overridden = Report.geti "hints_overridden" j;
-    sites_adapted = Report.geti "sites_adapted" j;
-    sites_backed_off = Report.geti "sites_backed_off" j;
-  }
 
 let policy_stats_json (s : Adapt.Policy.stats) =
   J.Obj
@@ -168,50 +159,6 @@ let policy_stats_json (s : Adapt.Policy.stats) =
     match s.Adapt.Policy.target_miss_rate with
     | Some t -> [ ("target_miss_rate", J.Float t) ]
     | None -> [])
-
-let policy_stats_of_json j =
-  {
-    Adapt.Policy.epochs = Report.geti "epochs" j;
-    triggers = Report.geti "triggers" j;
-    morphs = Report.geti "morphs" j;
-    last_epoch_miss_rate = Report.getf "last_epoch_miss_rate" j;
-    target_miss_rate =
-      (match J.member "target_miss_rate" j with
-      | Some v -> J.to_float v
-      | None -> None);
-  }
-
-let arm_payload a ~recommendation =
-  J.Obj
-    ([
-       ("arm", J.String a.arm_label);
-       ("result", Report.olden_result a.arm_result);
-     ]
-    @ (match a.arm_advisor with
-      | Some s -> [ ("advisor", advisor_stats_json s) ]
-      | None -> [])
-    @ (match a.arm_policy with
-      | Some s -> [ ("policy", policy_stats_json s) ]
-      | None -> [])
-    @
-    match recommendation with
-    | Some r -> [ ("recommendation", r) ]
-    | None -> [])
-
-(* Returns the arm and, for the adaptive arm, the autotuner's
-   recommendation JSON. *)
-let arm_of_payload j =
-  match Report.olden_result_of_json (Report.getobj "result" j) with
-  | Error e -> failwith ("adaptive arm payload: " ^ e)
-  | Ok res ->
-      ( {
-          arm_label = Report.gets "arm" j;
-          arm_result = res;
-          arm_advisor =
-            Option.map advisor_stats_of_json (J.member "advisor" j);
-          arm_policy = Option.map policy_stats_of_json (J.member "policy" j);
-        },
-        J.member "recommendation" j )
 
 (* ------------------------------------------------------------------ *)
 (* The three arms, as independent jobs for the (parallel) runner       *)
@@ -251,14 +198,13 @@ let arm_jobs ?config ?seed bench =
   | None -> None
   | Some run ->
       let plain label p () =
-        arm_payload
-          {
+        ( {
             arm_label = label;
             arm_result = run p;
             arm_advisor = None;
             arm_policy = None;
-          }
-          ~recommendation:None
+          },
+          None )
       in
       let adaptive () =
         let rec_params = recommend ?seed bench ta h in
@@ -292,14 +238,13 @@ let arm_jobs ?config ?seed bench =
         let r = run ~ctx:parts.ctx C.Ccmalloc_new_block in
         Adapt.Advisor.detach parts.advisor;
         Adapt.Policy.detach parts.policy;
-        arm_payload
-          {
+        ( {
             arm_label = "adaptive";
             arm_result = r;
             arm_advisor = Some (Adapt.Advisor.stats parts.advisor);
             arm_policy = Some (Adapt.Policy.stats parts.policy);
-          }
-          ~recommendation:(Some (Adapt.Autotune.to_json rec_params))
+          },
+          Some (Adapt.Autotune.to_json rec_params) )
       in
       Some
         [
@@ -320,16 +265,12 @@ let run ?seed ?(adapt = true) ?(parallel = false) bench =
           if adapt then jobs
           else List.filter (fun (name, _) -> name <> "adaptive") jobs
         in
-        let payloads = Parallel.run_jobs ~parallel jobs in
-        let decoded = List.map (fun (_, j) -> arm_of_payload j) payloads in
+        let results = Parallel.map ~parallel jobs in
         Some
           {
             bench;
-            arms = List.map fst decoded;
-            recommendation =
-              List.fold_left
-                (fun acc (_, r) -> if r <> None then r else acc)
-                None decoded;
+            arms = List.map fst results;
+            recommendation = List.find_map snd results;
           }
 
 (* ------------------------------------------------------------------ *)

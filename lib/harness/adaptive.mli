@@ -30,15 +30,9 @@ type report = {
   arms : arm list;
   recommendation : Obs.Json.t option;
       (** {!Adapt.Autotune.to_json} of the autotuned parameters; kept as
-          JSON because it crosses the parallel-runner pipe verbatim *)
+          JSON because the recommended engine holds closures, which
+          cannot cross the {!Parallel} pipe *)
 }
-
-val arm_payload : arm -> recommendation:Obs.Json.t option -> Obs.Json.t
-(** The self-describing JSON document one arm job returns (over the
-    {!Parallel} pipe or in-process). *)
-
-val arm_of_payload : Obs.Json.t -> arm * Obs.Json.t option
-(** Inverse of {!arm_payload}; raises [Failure] on a corrupt payload. *)
 
 val run :
   ?seed:int -> ?adapt:bool -> ?parallel:bool -> string -> report option
@@ -47,12 +41,11 @@ val run :
     recommendation; [false] runs only the base/static pair.
 
     With [parallel:true] (default false) each arm runs in a forked
-    child via {!Parallel} — the adaptive arm's autotune validation runs
-    overlap the base and static arms — and results come back as
-    JSON-over-pipe.  Every arm seeds its own RNGs from the benchmark
-    params, so the report (and its JSON export) is byte-identical to a
-    serial run; both modes decode through the same {!arm_of_payload}
-    path. *)
+    child via {!Parallel.map} — the adaptive arm's autotune validation
+    runs overlap the base and static arms — and each [(arm,
+    recommendation)] pair comes back marshalled.  Every arm seeds its
+    own RNGs from the benchmark params, so the report (and its JSON
+    export) is byte-identical to a serial run. *)
 
 val pp : Format.formatter -> report -> unit
 

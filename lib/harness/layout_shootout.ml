@@ -177,9 +177,9 @@ let olden_row ~scale ~seed which (name, scheme) =
     row_pages_used = pages;
   }
 
-(* --- payload codec (fork pipe; see Adaptive) --- *)
+(* --- export --- *)
 
-let level_payload l =
+let level_to_json l =
   J.Obj
     [
       ("accesses", J.Int l.lv_accesses);
@@ -187,24 +187,17 @@ let level_payload l =
       ("miss_rate", J.Float l.lv_miss_rate);
     ]
 
-let level_of_payload j =
-  {
-    lv_accesses = Report.geti "accesses" j;
-    lv_misses = Report.geti "misses" j;
-    lv_miss_rate = Report.getf "miss_rate" j;
-  }
-
-let row_payload r =
+let row_to_json r =
   J.Obj
     ([
        ("engine", J.String r.row_engine);
        ("cycles", J.Int r.row_cycles);
        ("checksum", J.Int r.row_checksum);
-       ("l1", level_payload r.row_l1);
-       ("l2", level_payload r.row_l2);
+       ("l1", level_to_json r.row_l1);
+       ("l2", level_to_json r.row_l2);
      ]
     @ (match r.row_tlb with
-      | Some t -> [ ("tlb", level_payload t) ]
+      | Some t -> [ ("tlb", level_to_json t) ]
       | None -> [])
     @ [
         ("blocks_used", J.Int r.row_blocks_used);
@@ -212,22 +205,9 @@ let row_payload r =
         ("pages_used", J.Int r.row_pages_used);
       ])
 
-let row_of_payload j =
-  {
-    row_engine = Report.gets "engine" j;
-    row_cycles = Report.geti "cycles" j;
-    row_checksum = Report.geti "checksum" j;
-    row_l1 = level_of_payload (Report.getobj "l1" j);
-    row_l2 = level_of_payload (Report.getobj "l2" j);
-    row_tlb = Option.map level_of_payload (J.member "tlb" j);
-    row_blocks_used = Report.geti "blocks_used" j;
-    row_hot_blocks = Report.geti "hot_blocks" j;
-    row_pages_used = Report.geti "pages_used" j;
-  }
-
 let jobs ~scale ~seed bench =
   let seed = Option.value ~default:2023 seed in
-  let wrap f = List.map (fun es -> (fst es, fun () -> row_payload (f es))) in
+  let wrap f = List.map (fun es -> (fst es, fun () -> f es)) in
   match bench with
   | "micro" -> Some (wrap (micro_row ~scale ~seed) engine_schemes)
   | "health" ->
@@ -239,8 +219,7 @@ let jobs ~scale ~seed bench =
 let run ?(scale = Experiments.Quick) ?seed ?(parallel = false) bench =
   Option.map
     (fun js ->
-      let payloads = Parallel.run_jobs ~parallel js in
-      { bench; scale; rows = List.map (fun (_, j) -> row_of_payload j) payloads })
+      { bench; scale; rows = Parallel.map ~parallel js })
     (jobs ~scale ~seed bench)
 
 let pp ppf r =
@@ -274,5 +253,5 @@ let to_json r =
     [
       ("bench", J.String r.bench);
       ("engines", J.List (List.map (fun (n, _) -> J.String n) engine_schemes));
-      ("rows", J.List (List.map row_payload r.rows));
+      ("rows", J.List (List.map row_to_json r.rows));
     ]

@@ -1,5 +1,5 @@
-(* Process-parallel experiment runner: fork one child per job, collect a
-   JSON document from each over a pipe, reassemble in job order.
+(* Process-parallel experiment runner: fork one child per job, marshal
+   each result back over a pipe, reassemble in job order.
 
    Forking (rather than threads/domains) gives each job a private copy
    of every piece of global simulator state — allocator site counters,
@@ -10,18 +10,13 @@
    (benchmark params carry explicit seeds), which is what makes the
    parallel output byte-identical to the serial one. *)
 
-module J = Obs.Json
-
-let error_key = "__job_error"
-
 let available = Sys.os_type = "Unix"
 
 let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let off = ref 0 in
   while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
+    off := !off + Unix.write_substring fd s !off (n - !off)
   done
 
 let read_all fd =
@@ -37,22 +32,45 @@ let read_all fd =
   go ();
   Buffer.contents buf
 
-let run_serial jobs = List.map (fun (name, job) -> (name, job ())) jobs
-
 let child_main fd job =
-  let payload =
-    match job () with
-    | j -> j
-    | exception e -> J.Obj [ (error_key, J.String (Printexc.to_string e)) ]
+  let outcome : (_, string) result =
+    match job () with v -> Ok v | exception e -> Error (Printexc.to_string e)
   in
-  (try write_all fd (J.to_string ~minify:true payload)
-   with _ -> ());
+  (* no [Closures] flag: a closure in the result raises here instead of
+     crossing the pipe as a code pointer *)
+  let payload =
+    match Marshal.to_string outcome [] with
+    | s -> s
+    | exception e ->
+        Marshal.to_string
+          (Error ("result not marshallable: " ^ Printexc.to_string e)
+            : (unit, string) result)
+          []
+  in
+  (try write_all fd payload with _ -> ());
   (try Unix.close fd with _ -> ());
   (* _exit: never rerun the parent's at_exit hooks or flush its
      buffered output a second time from the child *)
   Unix._exit 0
 
-let run_forked jobs =
+let decode name raw status =
+  let fail fmt =
+    Printf.ksprintf (fun s -> failwith ("parallel job " ^ name ^ ": " ^ s)) fmt
+  in
+  (match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED n -> fail "exit %d" n
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> fail "signal %d" n);
+  let len = String.length raw in
+  if len < Marshal.header_size then
+    fail "truncated payload (%d bytes, header is %d)" len Marshal.header_size;
+  let size = Marshal.total_size (Bytes.unsafe_of_string raw) 0 in
+  if len < size then fail "truncated payload (%d of %d bytes)" len size;
+  match (Marshal.from_string raw 0 : (_, string) result) with
+  | Ok v -> v
+  | Error msg -> fail "%s" msg
+
+let map_forked jobs =
   (* Anything buffered before the fork would be flushed once per child. *)
   flush stdout;
   flush stderr;
@@ -71,31 +89,22 @@ let run_forked jobs =
             (name, pid, r))
       jobs
   in
-  (* Payloads are small (kilobytes), far below the pipe buffer, so
-     collecting sequentially in job order cannot deadlock. *)
-  List.map
-    (fun (name, pid, r) ->
-      let raw = read_all r in
-      Unix.close r;
-      let _, status = Unix.waitpid [] pid in
-      (match status with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED n ->
-          failwith (Printf.sprintf "parallel job %s: exit %d" name n)
-      | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-          failwith (Printf.sprintf "parallel job %s: signal %d" name n));
-      match J.of_string raw with
-      | Error e ->
-          failwith (Printf.sprintf "parallel job %s: bad payload: %s" name e)
-      | Ok j -> (
-          match J.member error_key j with
-          | Some (J.String msg) ->
-              failwith (Printf.sprintf "parallel job %s: %s" name msg)
-          | _ -> (name, j)))
-    children
+  (* Each child writes only its own pipe, so draining the pipes in job
+     order cannot deadlock: a later child blocked on a full pipe resumes
+     when its turn comes.  Every child is drained and reaped before any
+     result is decoded, so a failure leaves no zombie or open pipe. *)
+  let collected =
+    List.map
+      (fun (name, pid, r) ->
+        let raw = try read_all r with Unix.Unix_error _ -> "" in
+        Unix.close r;
+        let _, status = Unix.waitpid [] pid in
+        (name, raw, status))
+      children
+  in
+  List.map (fun (name, raw, status) -> decode name raw status) collected
 
-let run_jobs ?(parallel = true) jobs =
+let map ?(parallel = true) jobs =
   match jobs with
-  | [] -> []
-  | [ _ ] -> run_serial jobs
-  | _ -> if parallel && available then run_forked jobs else run_serial jobs
+  | _ :: _ when parallel && available -> map_forked jobs
+  | _ -> List.map (fun (_, job) -> job ()) jobs

@@ -23,15 +23,10 @@ let olden_result (r : Olden.Common.result) =
 let pct part total =
   if total = 0 then 0. else 100. *. float_of_int part /. float_of_int total
 
-(* Decoder for {!olden_result}, used by the parallel experiment runner
-   to rebuild typed results from a child's JSON-over-pipe payload. *)
+(* Field readers for JSON the drivers keep as JSON (the autotuner's
+   recommendation). *)
 
 exception Corrupt of string
-
-let geti name j =
-  match J.member name j with
-  | Some (J.Int n) -> n
-  | _ -> raise (Corrupt name)
 
 let getf name j =
   match Option.bind (J.member name j) J.to_float with
@@ -42,31 +37,3 @@ let gets name j =
   match J.member name j with
   | Some (J.String s) -> s
   | _ -> raise (Corrupt name)
-
-let getobj name j =
-  match J.member name j with Some o -> o | None -> raise (Corrupt name)
-
-let cost_snapshot_of_json j =
-  {
-    Memsim.Cost.s_total = geti "total" j;
-    s_busy = geti "busy" j;
-    s_load_stall = geti "load_stall" j;
-    s_store_stall = geti "store_stall" j;
-    s_prefetch_issue = geti "prefetch_issue" j;
-  }
-
-let olden_result_of_json j =
-  match
-    {
-      Olden.Common.r_label = gets "label" j;
-      checksum = geti "checksum" j;
-      snapshot = cost_snapshot_of_json (getobj "cost" j);
-      l1_miss_rate = getf "l1_miss_rate" j;
-      l2_miss_rate = getf "l2_miss_rate" j;
-      l2_misses_per_ref = getf "l2_misses_per_ref" j;
-      memory_bytes = geti "memory_bytes" j;
-      structures_bytes = geti "structures_bytes" j;
-    }
-  with
-  | r -> Ok r
-  | exception Corrupt field -> Error ("olden result: bad field " ^ field)

@@ -6,9 +6,9 @@
     dominant lever.  This library makes the layout a first-class,
     swappable component: engines consume an abstract {!Tree} (node
     count, children function, forest roots, optional per-node access
-    weights) and produce a {!Plan} — the same block partition
-    [Ccsl.Clustering] always used — so [Ccmorph], [Adapt.Autotune], and
-    the harnesses can treat "which layout" as a parameter.
+    weights) and produce a {!Plan} — a partition of the nodes into cache
+    blocks — so [Ccmorph], [Adapt.Autotune], and the harnesses can treat
+    "which layout" as a parameter.
 
     Built-in engines ({!Engine.builtins}): the paper's two schemes, a
     recursive van Emde Boas engine ({!Veb}, cache-oblivious: optimal

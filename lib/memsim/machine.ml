@@ -13,11 +13,10 @@ type t = {
   l1_hit_lat : int;
   no_tlb : bool;
   mutable brk : Addr.t;
-  mutable tracer : (bool -> Addr.t -> unit) option;
   mutable subs : (subscription * (bool -> Addr.t -> unit)) list;
   mutable next_sub : int;
-  (* fan-out over tracer + subs, cached so the per-access fast path stays
-     a single option match *)
+  (* fan-out over subs, cached so the per-access fast path stays a
+     single option match *)
   mutable notify : (bool -> Addr.t -> unit) option;
 }
 
@@ -36,7 +35,6 @@ let create (cfg : Config.t) =
     no_tlb = Hierarchy.tlb hier = None;
     (* Start allocation at one page so address 0 stays null. *)
     brk = cfg.page_bytes;
-    tracer = None;
     subs = [];
     next_sub = 0;
     notify = None;
@@ -77,21 +75,22 @@ let rebuild_notify t =
      sorts it by subscription id here, once per (un)subscribe, so
      observers still run in subscription order. *)
   t.notify <-
-    (match (t.tracer, t.subs) with
-    | None, [] -> None
-    | Some f, [] -> Some f
-    | None, [ (_, f) ] -> Some f
-    | tracer, subs ->
+    (match t.subs with
+    | [] -> None
+    | [ (_, f) ] -> Some f
+    | subs ->
         let subs =
           List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) subs
         in
-        Some
-          (fun w a ->
-            (match tracer with None -> () | Some f -> f w a);
-            List.iter (fun (_, f) -> f w a) subs))
+        Some (fun w a -> List.iter (fun (_, f) -> f w a) subs))
+
+(* The tracer is the subscription with the reserved id -1, below every
+   id [subscribe] hands out, so it fires first. *)
+let tracer_id = -1
 
 let set_tracer t f =
-  t.tracer <- f;
+  let subs = List.filter (fun (i, _) -> i <> tracer_id) t.subs in
+  t.subs <- (match f with None -> subs | Some f -> (tracer_id, f) :: subs);
   rebuild_notify t
 
 let subscribe t f =
@@ -105,8 +104,8 @@ let unsubscribe t id =
   t.subs <- List.filter (fun (i, _) -> i <> id) t.subs;
   rebuild_notify t
 
-(* Timed word accessors.  When no tracer or subscriber is attached and
-   the L1 MRU filter proves a hit, the trace fan-out, the absolute-cycle
+(* Timed word accessors.  When no observer is attached and the L1 MRU
+   filter proves a hit, the trace fan-out, the absolute-cycle
    computation (only needed by the prefetch engine on L2 misses) and the
    hierarchy walk all collapse into one monomorphic hit path: unprofiled
    runs pay zero observer cost. *)

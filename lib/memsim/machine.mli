@@ -69,23 +69,23 @@ val ustoref : t -> Addr.t -> float -> unit
 (** {1 Tracing}
 
     Observers are called on every timed access with [(is_write,
-    address)]; untimed accesses are not observed.  Two mechanisms
-    coexist: a single primary tracer slot ([set_tracer], kept for the
-    classic capture-a-trace workflow) and any number of subscriptions
-    ([subscribe]), so several profilers can watch one run without
+    address)]; untimed accesses are not observed.  They live in one
+    subscription list, so several profilers can watch one run without
     displacing each other.  With nothing attached, an access the L1's
     MRU block filter proves a hit (on a machine without a TLB) skips the
     hierarchy walk; observation costs one option match. *)
 
 val set_tracer : t -> (bool -> Addr.t -> unit) option -> unit
-(** Install (or remove) the primary observer — typically
-    [Trace.record].  Subscriptions are unaffected. *)
+(** Install, replace or remove the tracer — typically [Trace.record].
+    The tracer is a subscription with a reserved id that fires before
+    every {!subscribe}d observer, whenever it was set; a machine holds
+    at most one.  [set_tracer t None] removes only the tracer. *)
 
 type subscription
 
 val subscribe : t -> (bool -> Addr.t -> unit) -> subscription
-(** Add an additional observer; observers run in subscription order
-    after the primary tracer. *)
+(** Add an observer; observers run in subscription order, after the
+    tracer. *)
 
 val unsubscribe : t -> subscription -> unit
 

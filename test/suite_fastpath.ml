@@ -266,7 +266,19 @@ let test_subscription_order () =
   ignore (Machine.load32 m base);
   Alcotest.(check (list int))
     "order stable after unsubscribing the middle observer" [ 1; 3 ]
-    (List.rev !fired)
+    (List.rev !fired);
+  (* the tracer is a subscription that fires first, whenever it is set *)
+  let fires expected what =
+    fired := [];
+    ignore (Machine.load32 m base);
+    Alcotest.(check (list int)) what expected (List.rev !fired)
+  in
+  Machine.set_tracer m (Some (obs 0));
+  fires [ 0; 1; 3 ] "a tracer set after the subscriptions fires first";
+  Machine.set_tracer m (Some (obs 9));
+  fires [ 9; 1; 3 ] "replacing the tracer keeps one copy";
+  Machine.set_tracer m None;
+  fires [ 1; 3 ] "removing the tracer leaves the subscriptions attached"
 
 (* ------------------------------------------------------------------ *)
 (* MSHR table: fixed slots, deterministic drain, demand absorption     *)
@@ -310,32 +322,73 @@ let test_mshr_table () =
 let toy_jobs =
   List.init 5 (fun i ->
       ( "job" ^ string_of_int i,
-        fun () -> J.Obj [ ("i", J.Int i); ("sq", J.Int (i * i)) ] ))
+        fun () -> (i, J.Obj [ ("i", J.Int i); ("sq", J.Int (i * i)) ]) ))
 
 let test_parallel_matches_serial () =
-  let serial = Harness.Parallel.run_serial toy_jobs in
-  let par = Harness.Parallel.run_jobs ~parallel:true toy_jobs in
-  Alcotest.(check bool) "same names, same payloads, same order" true
-    (List.for_all2
-       (fun (n1, j1) (n2, j2) -> n1 = n2 && J.equal j1 j2)
+  let serial = Harness.Parallel.map ~parallel:false toy_jobs in
+  let par = Harness.Parallel.map ~parallel:true toy_jobs in
+  Alcotest.(check bool) "same results, same order" true
+    (List.for_all2 (fun (i1, j1) (i2, j2) -> i1 = i2 && J.equal j1 j2)
        serial par)
 
-let test_parallel_error_propagates () =
-  let jobs =
-    [ ("ok", fun () -> J.Int 1); ("bad", fun () -> failwith "boom") ]
-  in
-  match Harness.Parallel.run_jobs ~parallel:true jobs with
-  | _ -> Alcotest.fail "expected the child's failure to propagate"
+let contains sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Run [jobs] forked and expect a [Failure] whose message names [job]
+   and mentions [why]. *)
+let expect_job_failure ~job ~why jobs =
+  match Harness.Parallel.map ~parallel:true jobs with
+  | _ -> Alcotest.fail ("expected job " ^ job ^ " to fail")
   | exception Failure msg ->
-      let contains sub s =
-        let n = String.length sub and m = String.length s in
-        let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "names the job" true (contains "bad" msg)
+      Alcotest.(check bool) ("names the job: " ^ msg) true (contains job msg);
+      Alcotest.(check bool) ("gives the cause: " ^ msg) true (contains why msg)
+
+let test_parallel_error_propagates () =
+  expect_job_failure ~job:"bad" ~why:"boom"
+    [
+      ("bad", fun () -> failwith "boom");
+      ("ok", fun () -> 1);
+      ("ok2", fun () -> 2);
+    ];
+  (* every child was reaped before the failure was raised *)
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | pid, _ -> Alcotest.failf "child %d left unreaped" pid
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+
+let test_parallel_killed_child () =
+  expect_job_failure ~job:"killed" ~why:"signal"
+    [
+      ( "killed",
+        fun () ->
+          Unix.kill (Unix.getpid ()) Sys.sigkill;
+          0 );
+    ]
+
+let test_parallel_silent_child () =
+  expect_job_failure ~job:"silent" ~why:"truncated"
+    [ ("silent", fun () -> (Unix._exit 0 : int)) ]
+
+let test_parallel_closure_result () =
+  expect_job_failure ~job:"closure" ~why:"not marshallable"
+    [ ("closure", fun () -> Some succ) ]
+
+let test_parallel_large_results () =
+  (* 1 MiB each, far past the pipe buffer: children block on write
+     until the parent drains them in order *)
+  let big c = String.make (1 lsl 20) c in
+  let results =
+    Harness.Parallel.map ~parallel:true
+      (List.map
+         (fun c -> (String.make 1 c, fun () -> big c))
+         [ 'a'; 'b'; 'c' ])
+  in
+  Alcotest.(check bool) "intact and in job order" true
+    (results = [ big 'a'; big 'b'; big 'c' ])
 
 (* ------------------------------------------------------------------ *)
-(* Arm payload codec                                                   *)
+(* Arm results across the fork pipe                                    *)
 (* ------------------------------------------------------------------ *)
 
 let fake_result =
@@ -357,7 +410,7 @@ let fake_result =
     structures_bytes = 6144;
   }
 
-let test_arm_payload_roundtrip () =
+let test_arm_pipe_roundtrip () =
   let rec_json = J.Obj [ ("color_frac", J.Float 0.25) ] in
   let arm =
     {
@@ -367,19 +420,21 @@ let test_arm_payload_roundtrip () =
       arm_policy = None;
     }
   in
-  let arm', rec' =
-    Harness.Adaptive.arm_of_payload
-      (Harness.Adaptive.arm_payload arm ~recommendation:(Some rec_json))
-  in
-  Alcotest.(check bool) "arm survives" true (arm = arm');
-  Alcotest.(check bool) "recommendation survives" true
-    (match rec' with Some j -> J.equal j rec_json | None -> false);
-  (* and with no recommendation attached *)
-  let arm'', rec'' =
-    Harness.Adaptive.arm_of_payload
-      (Harness.Adaptive.arm_payload arm ~recommendation:None)
-  in
-  Alcotest.(check bool) "None round-trips" true (arm = arm'' && rec'' = None)
+  match
+    Harness.Parallel.map ~parallel:true
+      [
+        ("with", fun () -> (arm, Some rec_json));
+        (* and with no recommendation attached *)
+        ("without", fun () -> (arm, None));
+      ]
+  with
+  | [ (arm', rec'); (arm'', rec'') ] ->
+      Alcotest.(check bool) "arm survives" true (arm = arm');
+      Alcotest.(check bool) "recommendation survives" true
+        (match rec' with Some j -> J.equal j rec_json | None -> false);
+      Alcotest.(check bool) "None round-trips" true
+        (arm = arm'' && rec'' = None)
+  | _ -> Alcotest.fail "one result per job"
 
 let tests =
   [
@@ -408,8 +463,16 @@ let tests =
           test_parallel_matches_serial;
         Alcotest.test_case "parallel runner propagates errors" `Quick
           test_parallel_error_propagates;
+        Alcotest.test_case "parallel runner reports a killed child" `Quick
+          test_parallel_killed_child;
+        Alcotest.test_case "parallel runner rejects a missing payload" `Quick
+          test_parallel_silent_child;
+        Alcotest.test_case "parallel runner rejects closures" `Quick
+          test_parallel_closure_result;
+        Alcotest.test_case "parallel runner carries large results" `Quick
+          test_parallel_large_results;
         Alcotest.test_case "arm payload round-trip" `Quick
-          test_arm_payload_roundtrip;
+          test_arm_pipe_roundtrip;
         QCheck_alcotest.to_alcotest prop_cache_filtered_equals_ref;
         QCheck_alcotest.to_alcotest prop_machine_matches_models;
       ] );

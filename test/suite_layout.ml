@@ -10,7 +10,6 @@ module Config = Memsim.Config
 module Cache = Memsim.Cache
 module Hierarchy = Memsim.Hierarchy
 module Ccmorph = Ccsl.Ccmorph
-module Clustering = Ccsl.Clustering
 module Model = Ccsl.Model
 module Bst = Structures.Bst
 module Rng = Workload.Rng
@@ -240,16 +239,17 @@ let test_closed_forms () =
   (* geometric chain descent at p = 1/2 collapses to the paper's
      depth-first form 2(1 - 2^-k) *)
   Alcotest.check feq "weighted at p=0.5 equals depth-first form"
-    (Clustering.expected_accesses_depth_first ~k:6)
-    (Clustering.expected_accesses_weighted ~k:6 ~p:0.5);
+    (Model.Ctree.k_depth_first ~block_elems:6)
+    (Model.Ctree.k_weighted ~block_elems:6 ~p:0.5);
   Alcotest.check feq "always-descend (p=1) uses the whole block" 4.0
-    (Clustering.expected_accesses_weighted ~k:4 ~p:1.0);
+    (Model.Ctree.k_weighted ~block_elems:4 ~p:1.0);
   Alcotest.check feq "vEB shares the subtree form at one level"
-    (Clustering.expected_accesses_subtree ~k:7)
-    (Clustering.expected_accesses_veb ~k:7);
+    (Model.Ctree.k ~block_elems:7)
+    (Adapt.Autotune.scheme_k ~block_elems:7
+       (Ccmorph.Engine Layout.Engine.veb));
   Alcotest.check_raises "p outside [0,1] rejected"
-    (Invalid_argument "Clustering.expected_accesses_weighted: p outside [0, 1]")
-    (fun () -> ignore (Clustering.expected_accesses_weighted ~k:4 ~p:1.5));
+    (Invalid_argument "Model.Ctree.k_weighted: p outside [0, 1]")
+    (fun () -> ignore (Model.Ctree.k_weighted ~block_elems:4 ~p:1.5));
   Alcotest.check feq "single-element blocks transfer once per node" 10.0
     (Model.Multilevel.path_transfers ~d:10.0 ~block_elems:1);
   Alcotest.check feq "7-element blocks amortize 3 nodes per transfer" 3.0
@@ -351,13 +351,13 @@ let fake_row tlb =
     row_pages_used = 5;
   }
 
-let test_row_payload_roundtrip () =
+let test_row_pipe_roundtrip () =
   let with_tlb = fake_row (Some { fake_level with LS.lv_misses = 1 }) in
   let without = fake_row None in
-  Alcotest.(check bool) "row with TLB survives the pipe" true
-    (LS.row_of_payload (LS.row_payload with_tlb) = with_tlb);
-  Alcotest.(check bool) "row without TLB survives the pipe" true
-    (LS.row_of_payload (LS.row_payload without) = without)
+  Alcotest.(check bool) "rows with and without TLB survive the pipe" true
+    (Harness.Parallel.map ~parallel:true
+       [ ("with", fun () -> with_tlb); ("without", fun () -> without) ]
+    = [ with_tlb; without ])
 
 let test_shootout_report_shape () =
   match LS.run "micro" with
@@ -416,7 +416,7 @@ let tests =
         Alcotest.test_case "lint layout-mismatch diagnostic" `Quick
           test_layoutfit;
         Alcotest.test_case "shootout row codec round-trip" `Quick
-          test_row_payload_roundtrip;
+          test_row_pipe_roundtrip;
         Alcotest.test_case "shootout report shape (micro)" `Quick
           test_shootout_report_shape;
         Alcotest.test_case "shootout parallel == serial (treeadd)" `Quick

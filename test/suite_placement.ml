@@ -1,10 +1,10 @@
-(* Tests for Coloring, Clustering and the analytic Model. *)
+(* Tests for Coloring, the paper's clustering plans and the analytic
+   Model. *)
 
 module Machine = Memsim.Machine
 module Config = Memsim.Config
 module CC = Memsim.Cache_config
 module Coloring = Ccsl.Coloring
-module Clustering = Ccsl.Clustering
 module Model = Ccsl.Model
 
 (* --- Coloring --- *)
@@ -110,12 +110,16 @@ let complete_kids n i =
 
 let test_subtree_plan_binary () =
   let n = 15 in
-  let plan = Clustering.subtree ~n ~kids:(complete_kids n) ~roots:[ 0 ] ~k:3 in
-  Clustering.check plan ~n ~k:3;
+  let plan =
+    Layout.Subtree.plan
+      (Layout.Tree.v ~n ~kids:(complete_kids n) ~roots:[ 0 ] ())
+      ~k:3
+  in
+  Layout.Plan.check plan ~n ~k:3;
   (* k=3 on a complete binary tree: each block is parent + two kids *)
-  Alcotest.(check int) "5 blocks" 5 (Array.length plan.Clustering.blocks);
+  Alcotest.(check int) "5 blocks" 5 (Array.length plan.Layout.Plan.blocks);
   Alcotest.(check (array int)) "root block" [| 0; 1; 2 |]
-    plan.Clustering.blocks.(0);
+    plan.Layout.Plan.blocks.(0);
   (* each non-root block is a parent with its two children *)
   Array.iteri
     (fun j b ->
@@ -124,11 +128,15 @@ let test_subtree_plan_binary () =
         Alcotest.(check int) "left kid" ((2 * b.(0)) + 1) b.(1);
         Alcotest.(check int) "right kid" ((2 * b.(0)) + 2) b.(2)
       end)
-    plan.Clustering.blocks
+    plan.Layout.Plan.blocks
 
 let test_subtree_blocks_near_root_first () =
   let n = 127 in
-  let plan = Clustering.subtree ~n ~kids:(complete_kids n) ~roots:[ 0 ] ~k:3 in
+  let plan =
+    Layout.Subtree.plan
+      (Layout.Tree.v ~n ~kids:(complete_kids n) ~roots:[ 0 ] ())
+      ~k:3
+  in
   (* node depth is monotone non-decreasing across block emission order *)
   let depth i =
     let rec go i d = if i = 0 then d else go ((i - 1) / 2) (d + 1) in
@@ -140,33 +148,32 @@ let test_subtree_blocks_near_root_first () =
       let d = depth b.(0) in
       Alcotest.(check bool) "roots of clusters get deeper" true (d >= !prev);
       prev := d)
-    plan.Clustering.blocks
+    plan.Layout.Plan.blocks
 
 let test_linear_plan () =
   let order = [| 4; 2; 0; 1; 3 |] in
-  let plan = Clustering.linear ~n:5 ~order ~k:2 in
-  Clustering.check plan ~n:5 ~k:2;
-  Alcotest.(check int) "3 blocks" 3 (Array.length plan.Clustering.blocks);
-  Alcotest.(check (array int)) "chunk 0" [| 4; 2 |] plan.Clustering.blocks.(0);
-  Alcotest.(check (array int)) "tail chunk" [| 3 |] plan.Clustering.blocks.(2)
+  let plan = Layout.Plan.chunk ~n:5 ~order ~k:2 in
+  Layout.Plan.check plan ~n:5 ~k:2;
+  Alcotest.(check int) "3 blocks" 3 (Array.length plan.Layout.Plan.blocks);
+  Alcotest.(check (array int)) "chunk 0" [| 4; 2 |] plan.Layout.Plan.blocks.(0);
+  Alcotest.(check (array int)) "tail chunk" [| 3 |] plan.Layout.Plan.blocks.(2)
 
 let test_expected_accesses () =
   Alcotest.(check (float 1e-9)) "subtree k=3" 2.
-    (Clustering.expected_accesses_subtree ~k:3);
+    (Model.Ctree.k ~block_elems:3);
   Alcotest.(check (float 1e-9)) "depth-first k=3" 1.75
-    (Clustering.expected_accesses_depth_first ~k:3);
+    (Model.Ctree.k_depth_first ~block_elems:3);
   (* the paper's point: subtree beats depth-first for k >= 3, and
      depth-first never reaches 2 *)
   for k = 3 to 64 do
     Alcotest.(check bool) "subtree wins" true
-      (Clustering.expected_accesses_subtree ~k
-      > Clustering.expected_accesses_depth_first ~k);
+      (Model.Ctree.k ~block_elems:k > Model.Ctree.k_depth_first ~block_elems:k);
     (* analytically < 2 for all k; in floats it rounds to 2. beyond ~50 *)
     Alcotest.(check bool) "depth-first <= 2" true
-      (Clustering.expected_accesses_depth_first ~k <= 2.);
+      (Model.Ctree.k_depth_first ~block_elems:k <= 2.);
     if k <= 40 then
       Alcotest.(check bool) "depth-first < 2" true
-        (Clustering.expected_accesses_depth_first ~k < 2.)
+        (Model.Ctree.k_depth_first ~block_elems:k < 2.)
   done
 
 let prop_subtree_partition =
@@ -180,8 +187,12 @@ let prop_subtree_partition =
         let p = Workload.Rng.int rng i in
         kids.(p) <- i :: kids.(p)
       done;
-      let plan = Clustering.subtree ~n ~kids:(fun i -> kids.(i)) ~roots:[ 0 ] ~k in
-      Clustering.check plan ~n ~k;
+      let plan =
+        Layout.Subtree.plan
+          (Layout.Tree.v ~n ~kids:(fun i -> kids.(i)) ~roots:[ 0 ] ())
+          ~k
+      in
+      Layout.Plan.check plan ~n ~k;
       true)
 
 let prop_linear_partition =
@@ -190,8 +201,8 @@ let prop_linear_partition =
     (fun (n, k) ->
       let rng = Workload.Rng.create (n + k) in
       let order = Workload.Rng.permutation rng n in
-      let plan = Clustering.linear ~n ~order ~k in
-      Clustering.check plan ~n ~k;
+      let plan = Layout.Plan.chunk ~n ~order ~k in
+      Layout.Plan.check plan ~n ~k;
       true)
 
 (* --- Model --- *)
