@@ -162,7 +162,7 @@ let run_profile bench placement_str paper seed json_file =
   match Harness.Profiles.run ~scale ?seed ~placement bench with
   | None ->
       Format.eprintf "unknown benchmark %S (expected %s)@." bench
-        (String.concat ", " Harness.Profiles.names);
+        (String.concat ", " Harness.Experiments.olden_names);
       exit 2
   | Some report -> (
       Format.printf "%a@." Harness.Profiles.pp report;
@@ -213,7 +213,7 @@ let run_adaptive bench adapt parallel seed json_file =
   match Harness.Adaptive.run ?seed ~adapt ~parallel bench with
   | None ->
       Format.eprintf "unknown benchmark %S (expected %s)@." bench
-        (String.concat ", " Harness.Adaptive.names);
+        (String.concat ", " Harness.Experiments.olden_names);
       exit 2
   | Some report ->
       Format.printf "%a@." Harness.Adaptive.pp report;
@@ -387,7 +387,7 @@ let run_lint bench paper seed fail_on json_file =
   match Harness.Lint.run ~scale ?seed bench with
   | None ->
       Format.eprintf "unknown benchmark %S (expected %s)@." bench
-        (String.concat ", " Harness.Lint.names);
+        (String.concat ", " Harness.Experiments.olden_names);
       exit 2
   | Some report ->
       Format.printf "%a@." Harness.Lint.pp report;

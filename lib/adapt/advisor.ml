@@ -340,8 +340,7 @@ let stats (t : t) =
         t.synth 0;
   }
 
-let to_json t =
-  let s = stats t in
+let stats_to_json (s : stats) =
   Obs.Json.Obj
     [
       ("hints_kept", Obs.Json.Int s.hints_kept);

@@ -77,4 +77,5 @@ type stats = {
 }
 
 val stats : t -> stats
-val to_json : t -> Obs.Json.t
+val stats_to_json : stats -> Obs.Json.t
+(** The counters as a JSON object, one member per field. *)

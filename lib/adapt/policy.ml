@@ -185,8 +185,7 @@ let stats (t : t) =
     target_miss_rate = t.target;
   }
 
-let to_json t =
-  let s = stats t in
+let stats_to_json (s : stats) =
   Obs.Json.Obj
     ([
        ("epochs", Obs.Json.Int s.epochs);

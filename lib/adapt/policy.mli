@@ -84,4 +84,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val to_json : t -> Obs.Json.t
+val stats_to_json : stats -> Obs.Json.t
+(** The counters as a JSON object, one member per field;
+    [target_miss_rate] only when a target is set. *)

@@ -14,13 +14,17 @@ let elem = Bst.default_elem_bytes
 let sd seed default offset =
   match seed with None -> default | Some s -> s + offset
 
-(* Build a random-layout tree on a fresh E5000+TLB machine, morph it with
-   [params] (or leave it naive), and measure steady-state searches whose
-   keys come from [next_key]. *)
-let measure_tree ?params ?(build_seed = 17) ~n ~searches ~next_key () =
-  let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
+(* Build a tree in allocation order [layout] (default: random, from
+   [build_seed]) on a fresh machine ([config], default the E5000 with
+   its TLB), morph it with [params] (or leave it as built), and measure
+   steady-state searches whose keys come from [next_key]: a quarter of
+   [searches] warm the caches from cold, then [searches] are timed. *)
+let measure_tree ?(config = Config.ultrasparc_e5000 ~tlb:true ()) ?params
+    ?(build_seed = 17) ?(layout = Bst.Random (Rng.create build_seed)) ~n
+    ~searches ~next_key () =
+  let m = Machine.create config in
   let keys = Array.init n (fun i -> i) in
-  let t = Bst.build m ~elem_bytes:elem (Bst.Random (Rng.create build_seed)) ~keys in
+  let t = Bst.build m ~elem_bytes:elem layout ~keys in
   let t =
     match params with
     | None -> t
@@ -48,23 +52,23 @@ let color_frac ?seed ppf =
   section ppf "Ablation: hot-region size (the paper's Color_const = 1/2)";
   let n = 1 lsl 19 in
   let searches = 20_000 in
-  let run label params =
+  let run (label, params) =
     let c =
-      measure_tree ?params ~build_seed:(sd seed 17 0) ~n ~searches
+      measure_tree ~params ~build_seed:(sd seed 17 0) ~n ~searches
         ~next_key:(uniform_keys n (sd seed 5 1)) ()
     in
     Format.fprintf ppf "  %-28s %8.1f cycles/search@." label c;
     J.Obj [ ("label", J.String label); ("cycles_per_search", J.Float c) ]
   in
   let rows =
-    run "uncolored (clustering only)"
-      (Some { Ccmorph.default_params with Ccmorph.color = false })
-    :: List.map
-         (fun frac ->
-           run
-             (Printf.sprintf "colored, frac = %.2f" frac)
-             (Some { Ccmorph.default_params with Ccmorph.color_frac = frac }))
-         [ 0.25; 0.5; 0.75 ]
+    List.map run
+      (( "uncolored (clustering only)",
+         { Ccmorph.default_params with Ccmorph.color = false } )
+      :: List.map
+           (fun frac ->
+             ( Printf.sprintf "colored, frac = %.2f" frac,
+               { Ccmorph.default_params with Ccmorph.color_frac = frac } ))
+           [ 0.25; 0.5; 0.75 ])
   in
   Format.fprintf ppf "@.";
   J.Obj [ ("rows", J.List rows) ]
@@ -297,7 +301,7 @@ let interference ?seed ppf =
     "Extension: two structures sharing the cache (the paper's future work)";
   let n = 1 lsl 17 in
   let searches = 20_000 in
-  let run label p1 p2 =
+  let run (label, p1, p2) =
     let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
     let keys = Array.init n (fun i -> i) in
     let build bs = Bst.build m ~elem_bytes:elem (Bst.Random (Rng.create bs)) ~keys in
@@ -335,11 +339,12 @@ let interference ?seed ppf =
   in
   let sets = 16384 in
   let rows =
-    [
-      run "both naive" None None;
-      run "both colored, same hot region" (quarter 0) (quarter 0);
-      run "colored into disjoint regions" (quarter 0) (quarter (sets / 4));
-    ]
+    List.map run
+      [
+        ("both naive", None, None);
+        ("both colored, same hot region", quarter 0, quarter 0);
+        ("colored into disjoint regions", quarter 0, quarter (sets / 4));
+      ]
   in
   Format.fprintf ppf
     "  (disjoint regions should win: each tree's hot set survives the \
@@ -495,22 +500,10 @@ let associativity ?seed ppf =
           }
         in
         let cost colored =
-          let m = Machine.create cfg in
-          let keys = Array.init n (fun i -> i) in
-          let t = Bst.build m ~elem_bytes:elem (Bst.Random (Rng.create (sd seed 17 0))) ~keys in
-          let p = { Ccmorph.default_params with Ccmorph.color = colored } in
-          let r = Ccmorph.morph ~params:p m (Bst.desc ~elem_bytes:elem) ~root:t.Bst.root in
-          let t = Bst.of_root m ~elem_bytes:elem ~n r.Ccmorph.new_root in
-          let rng = Rng.create (sd seed 5 1) in
-          Machine.cold_start m;
-          for _ = 1 to searches / 4 do
-            ignore (Bst.search t (Rng.int rng n))
-          done;
-          Machine.reset_measurement m;
-          for _ = 1 to searches do
-            ignore (Bst.search t (Rng.int rng n))
-          done;
-          float_of_int (Machine.cycles m) /. float_of_int searches
+          measure_tree ~config:cfg
+            ~params:{ Ccmorph.default_params with Ccmorph.color = colored }
+            ~build_seed:(sd seed 17 0) ~n ~searches
+            ~next_key:(uniform_keys n (sd seed 5 1)) ()
         in
         let un = cost false and co = cost true in
         let gain = 100. *. (1. -. (co /. un)) in
@@ -538,36 +531,22 @@ let veb_layout ?seed ppf =
      reserve a hot region the way coloring does.@.@.";
   let n = 1 lsl 19 in
   let searches = 20_000 in
-  let measure_layout layout =
-    let m = Machine.create (Config.ultrasparc_e5000 ~tlb:true ()) in
-    let keys = Array.init n (fun i -> i) in
-    let t = Bst.build m ~elem_bytes:elem layout ~keys in
-    let rng = Rng.create (sd seed 5 1) in
-    Machine.cold_start m;
-    for _ = 1 to searches / 4 do
-      ignore (Bst.search t (Rng.int rng n))
-    done;
-    Machine.reset_measurement m;
-    for _ = 1 to searches do
-      ignore (Bst.search t (Rng.int rng n))
-    done;
-    float_of_int (Machine.cycles m) /. float_of_int searches
-  in
-  let row label c =
+  let row (label, layout, params) =
+    let c =
+      measure_tree ?layout ?params ~build_seed:(sd seed 17 0) ~n ~searches
+        ~next_key:(uniform_keys n (sd seed 5 1)) ()
+    in
     Format.fprintf ppf "  %-34s %8.1f cycles/search@." label c;
     J.Obj [ ("layout", J.String label); ("cycles_per_search", J.Float c) ]
   in
   let rows =
-    [
-      row "random layout"
-        (measure_layout (Bst.Random (Rng.create (sd seed 17 0))));
-      row "depth-first layout" (measure_layout Bst.Depth_first);
-      row "van Emde Boas layout" (measure_layout Bst.Van_emde_boas);
-      row "C-tree (ccmorph cluster+color)"
-        (measure_tree ~params:Ccmorph.default_params
-           ~build_seed:(sd seed 17 0) ~n ~searches
-           ~next_key:(uniform_keys n (sd seed 5 1)) ());
-    ]
+    List.map row
+      [
+        ("random layout", None, None);
+        ("depth-first layout", Some Bst.Depth_first, None);
+        ("van Emde Boas layout", Some Bst.Van_emde_boas, None);
+        ("C-tree (ccmorph cluster+color)", None, Some Ccmorph.default_params);
+      ]
   in
   Format.fprintf ppf
     "  (vEB needs no cache parameters and still beats the naive layouts; \

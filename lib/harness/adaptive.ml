@@ -5,8 +5,6 @@ module Ccmorph = Ccsl.Ccmorph
 module Ccmalloc = Ccsl.Ccmalloc
 module J = Obs.Json
 
-let names = [ "treeadd"; "health"; "mst"; "perimeter" ]
-
 (* The adaptive arm measures whole runs: its whole point is paying
    reorganization costs only when the policy approves them, so morphs
    must land inside the measured region for every arm alike. *)
@@ -36,8 +34,8 @@ type adaptive_parts = {
   policy : Adapt.Policy.t;
 }
 
-let adaptive_ctx ?config ?policy_config ~morph_params () =
-  let base = C.make_ctx ?config C.Ccmalloc_new_block in
+let adaptive_ctx ?policy_config ~morph_params () =
+  let base = C.make_ctx C.Ccmalloc_new_block in
   let advisor = Adapt.Advisor.create base.C.machine base.C.alloc in
   (match base.C.cc with
   | Some cc -> Adapt.Advisor.set_ccmalloc advisor cc
@@ -127,76 +125,32 @@ let model_inputs bench (ta : Olden.Treeadd.params) (h : Olden.Health.params) =
   | "mst" -> (1 lsl 10, sets, assoc, block / 16)
   | _ -> (1 lsl 12, sets, assoc, block / 16)
 
-let recommend ?seed bench ta h =
-  ignore seed;
+let recommend bench ta h =
   let n, sets, assoc, block_elems = model_inputs bench ta h in
   Adapt.Autotune.search ?validate:(validator bench) ~n ~sets ~assoc
     ~block_elems ()
 
 (* ------------------------------------------------------------------ *)
-(* Counter serializers                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let advisor_stats_json (s : Adapt.Advisor.stats) =
-  J.Obj
-    [
-      ("hints_kept", J.Int s.Adapt.Advisor.hints_kept);
-      ("hints_supplied", J.Int s.Adapt.Advisor.hints_supplied);
-      ("hints_overridden", J.Int s.Adapt.Advisor.hints_overridden);
-      ("sites_adapted", J.Int s.Adapt.Advisor.sites_adapted);
-      ("sites_backed_off", J.Int s.Adapt.Advisor.sites_backed_off);
-    ]
-
-let policy_stats_json (s : Adapt.Policy.stats) =
-  J.Obj
-    ([
-       ("epochs", J.Int s.Adapt.Policy.epochs);
-       ("triggers", J.Int s.Adapt.Policy.triggers);
-       ("morphs", J.Int s.Adapt.Policy.morphs);
-       ("last_epoch_miss_rate", J.Float s.Adapt.Policy.last_epoch_miss_rate);
-     ]
-    @
-    match s.Adapt.Policy.target_miss_rate with
-    | Some t -> [ ("target_miss_rate", J.Float t) ]
-    | None -> [])
-
-(* ------------------------------------------------------------------ *)
 (* The three arms, as independent jobs for the (parallel) runner       *)
 (* ------------------------------------------------------------------ *)
 
-let arm_jobs ?config ?seed bench =
-  let ta, h, mst, per =
-    Experiments.olden_params ?seed Experiments.Quick
-  in
+let arm_jobs ?seed bench =
+  let _, h, _, _ = Experiments.olden_params ?seed Experiments.Quick in
   (* adaptivity needs repeated traversals to react between: the policy
      can only observe a bad layout by paying for one traversal of it, so
      the morph it triggers must have passes left to amortize over *)
-  ignore ta;
   let ta = { Olden.Treeadd.levels = 14; passes = 8 } in
-  let runner :
-      (?ctx:C.ctx -> C.placement -> C.result) option =
-    match bench with
-    | "treeadd" ->
-        Some
-          (fun ?ctx p ->
-            Olden.Treeadd.run ~params:ta ~measure_whole:true ?config ?ctx p)
-    | "health" ->
-        Some
-          (fun ?ctx p ->
-            Olden.Health.run ~params:h ~measure_whole:true ?config ?ctx p)
-    | "mst" ->
-        Some
-          (fun ?ctx p ->
-            Olden.Mst.run ~params:mst ~measure_whole:true ?config ?ctx p)
-    | "perimeter" ->
-        Some
-          (fun ?ctx p ->
-            Olden.Perimeter.run ~params:per ~measure_whole:true ?config ?ctx p)
-    | _ -> None
+  let kernel : Experiments.olden_run option =
+    if bench = "treeadd" then
+      Some
+        (fun ?measure_whole ?ctx p ->
+          Olden.Treeadd.run ~params:ta ?measure_whole ?ctx p)
+    else List.assoc_opt bench (Experiments.olden ?seed Experiments.Quick)
   in
-  match runner with
+  match kernel with
   | None -> None
-  | Some run ->
+  | Some kernel ->
+      let run ?ctx p = kernel ~measure_whole:true ?ctx p in
       let plain label p () =
         ( {
             arm_label = label;
@@ -207,7 +161,7 @@ let arm_jobs ?config ?seed bench =
           None )
       in
       let adaptive () =
-        let rec_params = recommend ?seed bench ta h in
+        let rec_params = recommend bench ta h in
         let morph_params = Adapt.Autotune.morph_params rec_params in
         let policy_config =
           match bench with
@@ -222,7 +176,7 @@ let arm_jobs ?config ?seed bench =
                 }
           | _ -> None
         in
-        let parts = adaptive_ctx ?config ?policy_config ~morph_params () in
+        let parts = adaptive_ctx ?policy_config ~morph_params () in
         (match bench with
         | "treeadd" ->
             Adapt.Policy.set_model_target
@@ -254,24 +208,21 @@ let arm_jobs ?config ?seed bench =
         ]
 
 let run ?seed ?(adapt = true) ?(parallel = false) bench =
-  if not (List.mem bench names) then None
-  else
-    match arm_jobs ?seed bench with
-    | None -> None
-    | Some jobs ->
-        (* without --adapt: just the static comparison pair (the
-           autotuner and adaptive arm never run) *)
-        let jobs =
-          if adapt then jobs
-          else List.filter (fun (name, _) -> name <> "adaptive") jobs
-        in
-        let results = Parallel.map ~parallel jobs in
-        Some
-          {
-            bench;
-            arms = List.map fst results;
-            recommendation = List.find_map snd results;
-          }
+  Option.map
+    (fun jobs ->
+      (* without --adapt: just the static comparison pair (the autotuner
+         and adaptive arm never run) *)
+      let jobs =
+        if adapt then jobs
+        else List.filter (fun (name, _) -> name <> "adaptive") jobs
+      in
+      let results = Parallel.map ~parallel jobs in
+      {
+        bench;
+        arms = List.map fst results;
+        recommendation = List.find_map snd results;
+      })
+    (arm_jobs ?seed bench)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -310,11 +261,11 @@ let pp ppf r =
     r.arms;
   match r.recommendation with
   | Some rc ->
+      let field name to_ = Option.get (Option.bind (J.member name rc) to_) in
       Format.fprintf ppf
         "  recommended: color_frac %.2f, %s clustering, %s strategy@."
-        (Report.getf "color_frac" rc)
-        (Report.gets "cluster" rc)
-        (Report.gets "strategy" rc)
+        (field "color_frac" J.to_float)
+        (field "cluster" J.to_str) (field "strategy" J.to_str)
   | None -> ()
 
 let arm_to_json base a =
@@ -326,11 +277,11 @@ let arm_to_json base a =
        ("result", Report.olden_result res);
      ]
     @ (match a.arm_advisor with
-      | Some s -> [ ("advisor", advisor_stats_json s) ]
+      | Some s -> [ ("advisor", Adapt.Advisor.stats_to_json s) ]
       | None -> [])
     @
     match a.arm_policy with
-    | Some s -> [ ("policy", policy_stats_json s) ]
+    | Some s -> [ ("policy", Adapt.Policy.stats_to_json s) ]
     | None -> [])
 
 let to_json r =

@@ -15,9 +15,6 @@
       parameters chosen by {!Adapt.Autotune} (model-ranked, validated by
       reduced-scale simulated runs). *)
 
-val names : string list
-(** ["treeadd"; "health"; "mst"; "perimeter"]. *)
-
 type arm = {
   arm_label : string;  (** "base", "static" or "adaptive" *)
   arm_result : Olden.Common.result;
@@ -36,7 +33,10 @@ type report = {
 
 val run :
   ?seed:int -> ?adapt:bool -> ?parallel:bool -> string -> report option
-(** Run the arms for one benchmark; [None] for an unknown name.
+(** Run the arms for one {!Experiments.olden} benchmark; [None] for an
+    unknown name.  Treeadd runs at 14 levels and 8 passes rather than
+    the table's single pass, so the policy has traversals left to
+    amortize a morph over.
     [adapt] (default true) includes the adaptive arm and the autotuned
     recommendation; [false] runs only the base/static pair.
 

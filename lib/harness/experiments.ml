@@ -243,6 +243,28 @@ let olden_params ?seed scale =
         { mst with Olden.Mst.seed = s + 1 },
         { per with Olden.Perimeter.seed = s + 2 } )
 
+type olden_run =
+  ?measure_whole:bool -> ?ctx:C.ctx -> C.placement -> C.result
+
+let olden ?seed scale : (string * olden_run) list =
+  let ta, h, mst, per = olden_params ?seed scale in
+  [
+    ( "treeadd",
+      fun ?measure_whole ?ctx p ->
+        Olden.Treeadd.run ~params:ta ?measure_whole ?ctx p );
+    ( "health",
+      fun ?measure_whole ?ctx p ->
+        Olden.Health.run ~params:h ?measure_whole ?ctx p );
+    ( "mst",
+      fun ?measure_whole ?ctx p ->
+        Olden.Mst.run ~params:mst ?measure_whole ?ctx p );
+    ( "perimeter",
+      fun ?measure_whole ?ctx p ->
+        Olden.Perimeter.run ~params:per ?measure_whole ?ctx p );
+  ]
+
+let olden_names = List.map fst (olden Quick)
+
 let table2 ?(scale = Quick) ?seed ppf =
   section ppf "Table 2: benchmark characteristics";
   let ta, h, mst, per = olden_params ?seed scale in
@@ -296,7 +318,7 @@ let table2 ?(scale = Quick) ?seed ppf =
 (* Figure 7                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let fig7_one ppf name run =
+let fig7_one ppf (name, (run : olden_run)) =
   Format.fprintf ppf
     "%-10s %-8s %12s %6s %6s %6s %6s %6s %9s@." name "config" "cycles" "norm"
     "busy%" "load%" "store%" "l2mr" "mem(KB)";
@@ -330,15 +352,7 @@ let fig7 ?(scale = Quick) ?seed ppf =
   section ppf
     "Figure 7: Olden benchmarks under cache-conscious placement (RSIM \
      machine)";
-  let ta, h, mst, per = olden_params ?seed scale in
-  let benches =
-    [
-      fig7_one ppf "treeadd" (fun p -> Olden.Treeadd.run ~params:ta p);
-      fig7_one ppf "health" (fun p -> Olden.Health.run ~params:h p);
-      fig7_one ppf "mst" (fun p -> Olden.Mst.run ~params:mst p);
-      fig7_one ppf "perimeter" (fun p -> Olden.Perimeter.run ~params:per p);
-    ]
-  in
+  let benches = List.map (fig7_one ppf) (olden ?seed scale) in
   Format.fprintf ppf
     "(paper: ccmorph beats base by 28-138%% and prefetching by 3-138%%; \
      ccmalloc new-block@. beats prefetching by 20-194%% except treeadd; \
@@ -353,10 +367,9 @@ let control ?(scale = Quick) ?seed ppf =
   section ppf
     "Section 4.4 control: ccmalloc with null hints vs. system malloc \
      (whole program)";
-  let ta, h, mst, per = olden_params ?seed scale in
-  let one name base null =
-    let rb : C.result = base () in
-    let rn : C.result = null () in
+  let one (name, (run : olden_run)) =
+    let rb = run ~measure_whole:true C.Base in
+    let rn = run ~measure_whole:true C.Null_hint_control in
     let delta = 100. *. (C.normalized rn ~base:rb -. 1.) in
     Format.fprintf ppf
       "%-10s base %12d cycles   null-hint ccmalloc %12d cycles   -> %+.1f%% \
@@ -371,27 +384,7 @@ let control ?(scale = Quick) ?seed ppf =
         ("overhead_pct", J.Float delta);
       ]
   in
-  let rows =
-    [
-      one "treeadd"
-        (fun () -> Olden.Treeadd.run ~params:ta ~measure_whole:true C.Base)
-        (fun () ->
-          Olden.Treeadd.run ~params:ta ~measure_whole:true C.Null_hint_control);
-      one "health"
-        (fun () -> Olden.Health.run ~params:h ~measure_whole:true C.Base)
-        (fun () ->
-          Olden.Health.run ~params:h ~measure_whole:true C.Null_hint_control);
-      one "mst"
-        (fun () -> Olden.Mst.run ~params:mst ~measure_whole:true C.Base)
-        (fun () ->
-          Olden.Mst.run ~params:mst ~measure_whole:true C.Null_hint_control);
-      one "perimeter"
-        (fun () -> Olden.Perimeter.run ~params:per ~measure_whole:true C.Base)
-        (fun () ->
-          Olden.Perimeter.run ~params:per ~measure_whole:true
-            C.Null_hint_control);
-    ]
-  in
+  let rows = List.map one (olden ?seed scale) in
   Format.fprintf ppf "@.";
   J.Obj [ ("rows", J.List rows) ]
 

@@ -51,8 +51,26 @@ val olden_params :
   scale ->
   Olden.Treeadd.params * Olden.Health.params * Olden.Mst.params
   * Olden.Perimeter.params
-(** The Olden input sizes used by {!table2}, {!fig7} and {!control} at a
-    given scale (shared with {!Profiles}). *)
+(** The Olden input sizes at a given scale: {!table2} reads them
+    directly, {!olden} closes over them. *)
+
+type olden_run =
+  ?measure_whole:bool ->
+  ?ctx:Olden.Common.ctx ->
+  Olden.Common.placement ->
+  Olden.Common.result
+(** One Olden kernel with its input fixed; the arguments are the
+    kernel's own [run] arguments ([measure_whole] defaults to false,
+    [ctx] to a fresh {!Olden.Common.make_ctx}). *)
+
+val olden : ?seed:int -> scale -> (string * olden_run) list
+(** The Olden benchmarks at [scale], by name, in Figure 7 order:
+    treeadd, health, mst, perimeter.  Every by-name harness ({!fig7},
+    {!control}, {!Lint}, {!Profiles}, {!Adaptive}, {!Layout_shootout})
+    looks its kernel up here. *)
+
+val olden_names : string list
+(** The names {!olden} lists. *)
 
 val names : string list
 (** The experiment names {!run_named} understands, in paper order. *)

@@ -138,8 +138,8 @@ let micro_row ~scale ~seed (name, scheme) =
 
 (* --- olden workloads with the engine swapped into morph_params --- *)
 
-let olden_row ~scale ~seed which (name, scheme) =
-  let ta, h, _, _ = Experiments.olden_params ?seed scale in
+let olden_row ~scale ~seed bench (name, scheme) =
+  let run = List.assoc bench (Experiments.olden ~seed scale) in
   let config = Config.rsim_table1 ~tlb:true () in
   let ctx = C.make_ctx ~config C.Ccmorph_cluster_color in
   let ctx =
@@ -151,13 +151,7 @@ let olden_row ~scale ~seed which (name, scheme) =
   in
   let res, morph =
     with_morph_capture ctx.C.machine (fun () ->
-        match which with
-        | `Health ->
-            Olden.Health.run ~params:h ~measure_whole:true ~ctx
-              C.Ccmorph_cluster_color
-        | `Treeadd ->
-            Olden.Treeadd.run ~params:ta ~measure_whole:true ~ctx
-              C.Ccmorph_cluster_color)
+        run ~measure_whole:true ~ctx C.Ccmorph_cluster_color)
   in
   let st = Hierarchy.stats (Machine.hierarchy ctx.C.machine) in
   let blocks, hot, pages =
@@ -210,10 +204,8 @@ let jobs ~scale ~seed bench =
   let wrap f = List.map (fun es -> (fst es, fun () -> f es)) in
   match bench with
   | "micro" -> Some (wrap (micro_row ~scale ~seed) engine_schemes)
-  | "health" ->
-      Some (wrap (olden_row ~scale ~seed:(Some seed) `Health) engine_schemes)
-  | "treeadd" ->
-      Some (wrap (olden_row ~scale ~seed:(Some seed) `Treeadd) engine_schemes)
+  | "health" | "treeadd" ->
+      Some (wrap (olden_row ~scale ~seed bench) engine_schemes)
   | _ -> None
 
 let run ?(scale = Experiments.Quick) ?seed ?(parallel = false) bench =

@@ -16,8 +16,6 @@ type report = {
   summary : Analyze.Diag.summary;
 }
 
-let names = [ "treeadd"; "health"; "mst"; "perimeter" ]
-
 let run_phase ?window ~bench:_ placement f =
   let ctx = C.make_ctx placement in
   let lint = Analyze.Lint.create ?window ctx.C.machine in
@@ -41,33 +39,13 @@ let run_phase ?window ~bench:_ placement f =
 let phase_placements = [ C.Ccmalloc_new_block; C.Ccmorph_cluster_color ]
 
 let run ?(scale = Experiments.Quick) ?seed name =
-  let ta, h, mst, per = Experiments.olden_params ?seed scale in
-  let f =
-    match name with
-    | "treeadd" ->
-        Some
-          (fun ctx placement ->
-            Olden.Treeadd.run ~params:ta ~measure_whole:true ~ctx placement)
-    | "health" ->
-        Some
-          (fun ctx placement ->
-            Olden.Health.run ~params:h ~measure_whole:true ~ctx placement)
-    | "mst" ->
-        Some
-          (fun ctx placement ->
-            Olden.Mst.run ~params:mst ~measure_whole:true ~ctx placement)
-    | "perimeter" ->
-        Some
-          (fun ctx placement ->
-            Olden.Perimeter.run ~params:per ~measure_whole:true ~ctx placement)
-    | _ -> None
-  in
   Option.map
-    (fun f ->
+    (fun (run : Experiments.olden_run) ->
       let phases =
         List.map
           (fun placement ->
-            run_phase ~bench:name placement (fun ctx -> f ctx placement))
+            run_phase ~bench:name placement (fun ctx ->
+                run ~measure_whole:true ~ctx placement))
           phase_placements
       in
       let diags =
@@ -75,7 +53,7 @@ let run ?(scale = Experiments.Quick) ?seed name =
           (List.concat_map (fun p -> p.ph_diags) phases)
       in
       { bench = name; scale; phases; diags; summary = Analyze.Diag.summarize diags })
-    f
+    (List.assoc_opt name (Experiments.olden ?seed scale))
 
 let pp ppf r =
   Report.section ppf

@@ -28,9 +28,6 @@ type report = {
   summary : Analyze.Diag.summary;
 }
 
-val names : string list
-(** The lintable benchmarks: treeadd, health, mst, perimeter. *)
-
 val run_phase :
   ?window:int ->
   bench:string ->
@@ -41,8 +38,8 @@ val run_phase :
     attached; exposed so tests can lint tiny custom workloads. *)
 
 val run : ?scale:Experiments.scale -> ?seed:int -> string -> report option
-(** [run name] lints benchmark [name] at [scale] (default [Quick]);
-    [None] for an unknown name. *)
+(** [run name] lints the {!Experiments.olden} benchmark [name] at
+    [scale] (default [Quick]); [None] for an unknown name. *)
 
 val pp : Format.formatter -> report -> unit
 

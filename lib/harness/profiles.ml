@@ -19,8 +19,6 @@ type report = {
   simulated_l2_miss_rate : float;
 }
 
-let names = [ "treeadd"; "health"; "mst"; "perimeter" ]
-
 let run_custom ?config ~bench placement f =
   let ctx = C.make_ctx ?config placement in
   let m = ctx.C.machine in
@@ -104,28 +102,11 @@ let run ?(scale = Experiments.Quick) ?seed ?(placement = C.Base) ?config name =
   let config =
     match config with Some c -> c | None -> default_config placement
   in
-  let ta, h, mst, per = Experiments.olden_params ?seed scale in
-  let f =
-    match name with
-    | "treeadd" ->
-        Some
-          (fun ctx ->
-            Olden.Treeadd.run ~params:ta ~measure_whole:true ~ctx placement)
-    | "health" ->
-        Some
-          (fun ctx ->
-            Olden.Health.run ~params:h ~measure_whole:true ~ctx placement)
-    | "mst" ->
-        Some
-          (fun ctx ->
-            Olden.Mst.run ~params:mst ~measure_whole:true ~ctx placement)
-    | "perimeter" ->
-        Some
-          (fun ctx ->
-            Olden.Perimeter.run ~params:per ~measure_whole:true ~ctx placement)
-    | _ -> None
-  in
-  Option.map (fun f -> run_custom ~config ~bench:name placement f) f
+  Option.map
+    (fun (run : Experiments.olden_run) ->
+      run_custom ~config ~bench:name placement (fun ctx ->
+          run ~measure_whole:true ~ctx placement))
+    (List.assoc_opt name (Experiments.olden ?seed scale))
 
 let pp ppf r =
   Report.section ppf

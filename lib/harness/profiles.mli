@@ -27,9 +27,6 @@ type report = {
       (** simulated L2 misses per L1 reference (same denominator) *)
 }
 
-val names : string list
-(** ["treeadd"; "health"; "mst"; "perimeter"]. *)
-
 val default_config : Olden.Common.placement -> Memsim.Config.t
 (** The default profiling machine: Table 1's capacities, block sizes and
     latencies with the L2 raised to 16 ways, so the histogram's
@@ -44,8 +41,8 @@ val run :
   ?config:Memsim.Config.t ->
   string ->
   report option
-(** Profile one Olden benchmark by name (default placement
-    [Olden.Common.Base]); [None] for an unknown name. *)
+(** Profile one {!Experiments.olden} benchmark by name (default
+    placement [Olden.Common.Base]); [None] for an unknown name. *)
 
 val run_custom :
   ?config:Memsim.Config.t ->

@@ -22,18 +22,3 @@ let olden_result (r : Olden.Common.result) =
 
 let pct part total =
   if total = 0 then 0. else 100. *. float_of_int part /. float_of_int total
-
-(* Field readers for JSON the drivers keep as JSON (the autotuner's
-   recommendation). *)
-
-exception Corrupt of string
-
-let getf name j =
-  match Option.bind (J.member name j) J.to_float with
-  | Some f -> f
-  | None -> raise (Corrupt name)
-
-let gets name j =
-  match J.member name j with
-  | Some (J.String s) -> s
-  | _ -> raise (Corrupt name)

@@ -1,9 +1,11 @@
-(** Shared presentation helpers for the experiment drivers.
+(** Presentation helpers shared by the harness drivers.
 
-    Every driver in {!Experiments} and {!Ablations} renders a human
-    table to a formatter {e and} returns the underlying numbers as
-    {!Obs.Json.t}, so one computation feeds both the terminal and the
-    machine-readable export ([ccsl-cli --json]). *)
+    Every driver ({!Experiments}, {!Ablations}, {!Lint}, {!Profiles},
+    {!Adaptive}) renders a human table to a formatter {e and} returns
+    the underlying numbers as {!Obs.Json.t}, so one computation feeds
+    both the terminal and the machine-readable export
+    ([ccsl-cli --json]).  The JSON side is write-only: nothing here
+    reads an export back. *)
 
 val hr : Format.formatter -> unit
 val section : Format.formatter -> string -> unit
@@ -14,15 +16,3 @@ val olden_result : Olden.Common.result -> Obs.Json.t
 
 val pct : int -> int -> float
 (** [pct part total] as a percentage; [0.] when [total = 0]. *)
-
-(** {1 Field readers}
-
-    For results the drivers keep as JSON, such as
-    {!Adaptive.report}'s autotuned recommendation. *)
-
-exception Corrupt of string
-(** Raised by the [get*] helpers on a missing or mistyped field; the
-    payload carries the field name. *)
-
-val getf : string -> Obs.Json.t -> float
-val gets : string -> Obs.Json.t -> string

@@ -4,7 +4,6 @@ module Machine = Memsim.Machine
 type layout =
   | Random of Workload.Rng.t
   | Depth_first
-  | Breadth_first
   | Van_emde_boas
 
 type t = {
@@ -53,55 +52,14 @@ let build_shape keys =
   let root_idx = go 0 (n - 1) in
   { key_of; left_of; right_of; root_idx }
 
-(* Van Emde Boas order: lay out the height-h tree as a vEB-ordered top of
-   height ⌊h/2⌋ followed by the vEB-ordered bottom subtrees.  [go root h]
-   emits the (up to) h levels under [root] and returns the frontier of
-   subtree roots hanging below them. *)
+(* Van Emde Boas order: the blocks of a one-node-per-block vEB plan, in
+   layout order. *)
 let veb_order shape n =
-  let order = Array.make n (-1) in
-  let pos = ref 0 in
-  let emit v =
-    order.(!pos) <- v;
-    incr pos
-  in
   let kids v =
     List.filter (fun k -> k >= 0) [ shape.left_of.(v); shape.right_of.(v) ]
   in
-  let height =
-    let rec h v =
-      1 + List.fold_left (fun acc k -> max acc (h k)) 0 (kids v)
-    in
-    h shape.root_idx
-  in
-  let rec go root h =
-    if h <= 1 then begin
-      emit root;
-      kids root
-    end
-    else begin
-      let ht = h / 2 in
-      let mid = go root ht in
-      List.concat_map (fun r -> go r (h - ht)) mid
-    end
-  in
-  let below = go shape.root_idx height in
-  assert (below = []);
-  assert (!pos = n);
-  order
-
-let bfs_order shape n =
-  let order = Array.make n (-1) in
-  let q = Queue.create () in
-  Queue.add shape.root_idx q;
-  let pos = ref 0 in
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    order.(!pos) <- v;
-    incr pos;
-    if shape.left_of.(v) >= 0 then Queue.add shape.left_of.(v) q;
-    if shape.right_of.(v) >= 0 then Queue.add shape.right_of.(v) q
-  done;
-  order
+  let tree = Layout.Tree.v ~n ~kids ~roots:[ shape.root_idx ] () in
+  Array.concat (Array.to_list (Layout.Veb.plan tree ~k:1).Layout.Plan.blocks)
 
 let build ?(elem_bytes = default_elem_bytes) ?alloc m layout ~keys =
   if elem_bytes < 12 then invalid_arg "Bst.build: elem_bytes < 12";
@@ -115,7 +73,6 @@ let build ?(elem_bytes = default_elem_bytes) ?alloc m layout ~keys =
   let order =
     match layout with
     | Depth_first -> Array.init n (fun i -> i)  (* indices are preorder *)
-    | Breadth_first -> bfs_order shape n
     | Van_emde_boas -> veb_order shape n
     | Random rng -> Workload.Rng.permutation rng n
   in

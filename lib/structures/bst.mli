@@ -16,13 +16,14 @@ type layout =
       (** nodes allocated in random order: the paper's "randomly
           clustered" naive tree *)
   | Depth_first  (** preorder allocation: "depth-first clustered" *)
-  | Breadth_first  (** level-order allocation *)
   | Van_emde_boas
       (** recursive height-halving layout — the classic hand-designed
           ("CC design" in the paper's Table 3) cache-oblivious tree,
           good for every block size simultaneously but unaware of cache
           {e capacity}, so it cannot pin a hot region the way coloring
-          does *)
+          does.  Nodes are allocated in the order of
+          [Layout.Veb.plan ~k:1], the same order the vEB layout engine
+          packs into blocks. *)
 
 type t = {
   m : Memsim.Machine.t;

@@ -105,6 +105,17 @@ let test_normalized () =
   Alcotest.(check (float 1e-9)) "base normalizes to 1" 1.
     (C.normalized base ~base)
 
+let test_olden_table () =
+  Alcotest.(check (list string)) "Figure 7 order"
+    [ "treeadd"; "health"; "mst"; "perimeter" ]
+    Harness.Experiments.olden_names;
+  Alcotest.(check bool) "lint rejects an unknown name" true
+    (Option.is_none (Harness.Lint.run "nosuch"));
+  Alcotest.(check bool) "profile rejects an unknown name" true
+    (Option.is_none (Harness.Profiles.run "nosuch"));
+  Alcotest.(check bool) "run rejects an unknown name" true
+    (Option.is_none (Harness.Adaptive.run "nosuch"))
+
 let prop_treeadd_sum_any_size =
   QCheck.Test.make ~count:8 ~name:"treeadd sums correctly at any size"
     QCheck.(int_range 2 12)
@@ -149,6 +160,7 @@ let tests =
         Alcotest.test_case "hw prefetch wiring" `Quick
           test_hw_prefetch_only_for_hp;
         Alcotest.test_case "normalization" `Quick test_normalized;
+        Alcotest.test_case "harness olden table" `Quick test_olden_table;
         QCheck_alcotest.to_alcotest prop_treeadd_sum_any_size;
         QCheck_alcotest.to_alcotest prop_mst_matches_oracle;
         QCheck_alcotest.to_alcotest prop_perimeter_matches_oracle;

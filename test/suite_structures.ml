@@ -26,10 +26,7 @@ let test_bst_search_all_layouts () =
       Alcotest.(check bool) "rejects absent" false (Bst.search t 501);
       Alcotest.(check (list int)) "inorder sorted" (Array.to_list keys)
         (Bst.to_sorted_list t))
-    [
-      Bst.Random (Rng.create 42); Bst.Depth_first; Bst.Breadth_first;
-      Bst.Van_emde_boas;
-    ]
+    [ Bst.Random (Rng.create 42); Bst.Depth_first; Bst.Van_emde_boas ]
 
 let test_bst_dfs_layout_adjacency () =
   let m = mk () in
@@ -69,7 +66,34 @@ let test_bst_veb_layout () =
   (* and searches behave *)
   for k = 0 to 1022 do
     Alcotest.(check bool) "hit" true (Bst.mem_oracle t k)
-  done
+  done;
+  (* 64 keys give an incomplete tree (height 7), the smallest size where
+     the generalized split differs from plain height-halving: nodes in
+     address order must follow the layout engine's vEB order exactly *)
+  let t = Bst.build (mk ()) Bst.Van_emde_boas ~keys:(Array.init 64 Fun.id) in
+  let addr = ref [||] and kids = ref [||] in
+  let rec number node =
+    if A.is_null node then -1
+    else begin
+      let id = Array.length !addr in
+      addr := Array.append !addr [| node |];
+      kids := Array.append !kids [| [] |];
+      let l = number (Machine.uload32 t.Bst.m (node + 4)) in
+      let r = number (Machine.uload32 t.Bst.m (node + 8)) in
+      !kids.(id) <- List.filter (fun k -> k >= 0) [ l; r ];
+      id
+    end
+  in
+  ignore (number t.Bst.root);
+  let n = Array.length !addr in
+  let tree = Layout.Tree.v ~n ~kids:(fun v -> !kids.(v)) ~roots:[ 0 ] () in
+  let plan = Layout.Veb.plan tree ~k:1 in
+  let by_address =
+    List.sort (fun a b -> compare !addr.(a) !addr.(b)) (List.init n Fun.id)
+  in
+  Alcotest.(check (list int)) "address order is Layout.Veb.plan ~k:1"
+    (Array.to_list (Array.concat (Array.to_list plan.Layout.Plan.blocks)))
+    by_address
 
 let test_bst_insert () =
   let m = mk () in
